@@ -53,9 +53,8 @@ from .wavefunction import (
     Density,
     GaussianPacketSpec,
     KFactor,
-    MomentumGrid,
     PositionWavefunction,
-    YGrid,
+    UniformGrid,
     density,
     synthesize_discrete,
     synthesize_gaussian,

@@ -32,7 +32,6 @@ __all__ = [
 class PreparationContext(enum.Enum):
     """How the superposition was physically assembled."""
 
-    FREE = "free"
     PLUS_Y = "plus_y"
     MINUS_Y = "minus_y"
     CONFINED = "confined"
@@ -49,10 +48,8 @@ class BoostMode:
         if self.kind not in ("linear", "physical"):
             raise ValueError(f"kind must be 'linear' or 'physical', got {self.kind!r}")
         if self.kind == "physical":
-            if self.preparation is None or self.preparation is PreparationContext.FREE:
-                raise ValueError(
-                    "physical mode needs a non-free preparation context"
-                )
+            if self.preparation is None:
+                raise ValueError("physical mode needs a preparation context")
         elif self.preparation is not None:
             raise ValueError("linear mode takes no preparation context")
 
@@ -96,10 +93,6 @@ def boost_physical(
     preparation yields no rotation. The output therefore factorizes into
     (common spin unitary) x (untouched momentum structure).
     """
-    if prep is PreparationContext.FREE:
-        raise ValueError(
-            "free states have no common preparation momentum; use boost_linear"
-        )
     if prep is PreparationContext.CONFINED:
         return state
     magnitude = common_momentum_magnitude(state)

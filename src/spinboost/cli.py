@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from . import __version__
 from .boost import BoostMode, PreparationContext, transform
 from .detection import (
     DetectorSpec,
+    RatioReport,
     detection_curve,
     ratio_report,
     signaling_discriminator,
@@ -44,14 +46,12 @@ from .wavefunction import (
     Density,
     GaussianPacketSpec,
     KFactor,
-    MomentumGrid,
-    YGrid,
+    PositionWavefunction,
+    UniformGrid,
     density,
     synthesize_discrete,
     synthesize_gaussian,
 )
-
-SCENARIOS = ("angle", "figure1", "figure2", "ratio", "signaling", "paradox")
 
 _UNITS_NOTE = (
     "natural units: hbar = c = m = 1; lengths in reduced Compton wavelengths; "
@@ -81,7 +81,6 @@ class ScenarioConfig:
     w: float = 1.0
     mode: str = "linear"
     prep: str = "minus_y"
-    basis: str = "z"
     outcome: int = -1
     k_factor: str = "sqrt_m_over_p0"
     packet_width: float = 1.0
@@ -91,6 +90,7 @@ class ScenarioConfig:
     out: str = "out"
 
     def __post_init__(self) -> None:
+        self.k_factor = {"sqrt": "sqrt_m_over_p0"}.get(self.k_factor, self.k_factor)
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.gamma_beta is not None and self.beta is not None:
@@ -103,8 +103,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"prep must be plus_y, minus_y or confined, got {self.prep!r}"
             )
-        if self.basis not in ("z", "x"):
-            raise ConfigError(f"basis must be z or x, got {self.basis!r}")
         if self.outcome not in (+1, -1):
             raise ConfigError(f"outcome must be +1 or -1, got {self.outcome!r}")
         if self.k_factor not in ("unity", "sqrt_m_over_p0"):
@@ -113,8 +111,17 @@ class ScenarioConfig:
             )
 
 
-def _resolve_boost(cfg: ScenarioConfig) -> BoostParameter:
+@contextmanager
+def _config_errors():
+    """Report the library's ValueError for a bad setting as a ConfigError."""
     try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _resolve_boost(cfg: ScenarioConfig) -> BoostParameter:
+    with _config_errors():
         if cfg.beta is not None:
             return BoostParameter(cfg.beta)
         if cfg.gamma_beta is not None:
@@ -122,12 +129,10 @@ def _resolve_boost(cfg: ScenarioConfig) -> BoostParameter:
         if cfg.scenario == "figure2":
             return BoostParameter(0.995)
         return BoostParameter.from_gamma(10.0)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _resolve_momentum(cfg: ScenarioConfig) -> FourMomentum:
-    try:
+    with _config_errors():
         if cfg.p is not None:
             if cfg.p <= 0.0:
                 raise ConfigError(f"p must be positive, got {cfg.p!r}")
@@ -140,8 +145,6 @@ def _resolve_momentum(cfg: ScenarioConfig) -> FourMomentum:
         if gamma_p <= 1.0:
             raise ConfigError(f"gamma_p must exceed 1, got {gamma_p!r}")
         return FourMomentum.from_gamma(gamma_p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _resolve_mode(cfg: ScenarioConfig) -> BoostMode:
@@ -151,10 +154,17 @@ def _resolve_mode(cfg: ScenarioConfig) -> BoostMode:
 
 
 def _resolve_detector(cfg: ScenarioConfig) -> DetectorSpec:
-    try:
+    with _config_errors():
         return DetectorSpec(cfg.w)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+
+
+def _normalized_density(wavefunction: PositionWavefunction) -> Density:
+    dens = density(wavefunction)
+    if abs(dens.integral() - 1.0) > _NORMALIZATION_TOL:
+        raise ContractError(
+            f"density integral {dens.integral()!r} deviates from 1"
+        )
+    return dens
 
 
 def _branch_density(
@@ -163,7 +173,7 @@ def _branch_density(
     mode: BoostMode,
     basis: str,
     outcome: int,
-    grid: YGrid,
+    grid: UniformGrid,
 ) -> Density:
     """Collapse one basis branch, boost particle 2, synthesize its density.
 
@@ -176,18 +186,31 @@ def _branch_density(
     assert state is not None
     state = transform(state, boost, mode)
     state = center_interference_minimum(state)
-    wavefunction = synthesize_discrete(state, grid)
-    dens = density(wavefunction)
-    if abs(dens.integral() - 1.0) > _NORMALIZATION_TOL:
-        raise ContractError(
-            f"density integral {dens.integral()!r} deviates from 1"
-        )
-    return dens
+    return _normalized_density(synthesize_discrete(state, grid))
 
 
-def _standing_grid(cfg: ScenarioConfig, momentum: FourMomentum) -> YGrid:
+def _paired_densities(
+    cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
+) -> tuple[UniformGrid, Density, Density]:
+    """The standing-wave grid and the z-basis (psi) and x-basis (phi) densities."""
+    mode = _resolve_mode(cfg)
     n_points = 4097 if cfg.grid_points is None else cfg.grid_points
-    return YGrid.standing_wave(momentum.p, cfg.half_periods, n_points)
+    with _config_errors():
+        grid = UniformGrid.standing_wave(momentum.p, cfg.half_periods, n_points)
+    dens_psi = _branch_density(momentum, boost, mode, "z", cfg.outcome, grid)
+    dens_phi = _branch_density(momentum, boost, mode, "x", cfg.outcome, grid)
+    return grid, dens_psi, dens_phi
+
+
+def _paired_ratios(
+    cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
+) -> tuple[Density, Density, DetectorSpec, RatioReport]:
+    """Both bases' densities, the detector and the ratio report on them."""
+    _, dens_psi, dens_phi = _paired_densities(cfg, boost, momentum)
+    det = _resolve_detector(cfg)
+    with _config_errors():
+        ratios = ratio_report(dens_psi, dens_phi, det, boost.gamma, momentum.speed)
+    return dens_psi, dens_phi, det, ratios
 
 
 def _kinematics_block(
@@ -209,171 +232,106 @@ def _kinematics_block(
     return block
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    for row in zip(*columns):
+def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
         lines.append(",".join(f"{value:.17g}" for value in row))
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
-def _finish(report: dict, out_dir: Path, scenario: str) -> dict:
-    report_path = out_dir / f"{scenario}_report.json"
-    with open(report_path, "w", newline="\n") as handle:
-        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    report["files"].append(report_path.name)
-    return report
+#: A scenario's report outputs, and its CSV columns by header or None.
+_Outputs = tuple[dict, dict[str, np.ndarray] | None]
 
 
-def _base_report(cfg: ScenarioConfig) -> dict:
+def _angle(
+    cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
+) -> _Outputs:
     return {
-        "tool": "spinboost",
-        "tool_version": __version__,
-        "units": _UNITS_NOTE,
-        "scenario": cfg.scenario,
-        "config": asdict(cfg),
-        "files": [],
-    }
-
-
-def run_angle(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    boost = _resolve_boost(cfg)
-    momentum = _resolve_momentum(cfg)
-    report = _base_report(cfg)
-    report["kinematics"] = _kinematics_block(boost, momentum)
-    report["outputs"] = {
         "wigner_angle_positive_momentum": wigner_angle(momentum, boost),
         "wigner_angle_negative_momentum": wigner_angle(
             FourMomentum(-momentum.p), boost
         ),
-    }
-    return _finish(report, out_dir, cfg.scenario)
+    }, None
 
 
-def run_figure1(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    boost = _resolve_boost(cfg)
-    momentum = _resolve_momentum(cfg)
-    mode = _resolve_mode(cfg)
-    grid = _standing_grid(cfg, momentum)
-
-    dens_psi = _branch_density(momentum, boost, mode, "z", cfg.outcome, grid)
-    dens_phi = _branch_density(momentum, boost, mode, "x", cfg.outcome, grid)
-
-    csv_path = out_dir / "figure1.csv"
-    _write_csv(
-        csv_path,
-        ["y_over_compton", "density_phi", "density_psi"],
-        [grid.points, dens_phi.values, dens_psi.values],
-    )
-
+def _figure1(
+    cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
+) -> _Outputs:
+    grid, dens_psi, dens_phi = _paired_densities(cfg, boost, momentum)
     peak = float(max(dens_psi.values.max(), dens_phi.values.max()))
     psi_max = float(dens_psi.values.max())
     psi_min = float(dens_psi.values.min())
-    report = _base_report(cfg)
-    report["kinematics"] = _kinematics_block(boost, momentum)
-    report["outputs"] = {
+    outputs = {
         "visibility_psi": (psi_max - psi_min) / (psi_max + psi_min),
         "min_to_max_psi": psi_min / psi_max,
         "sup_gap_over_peak": float(
             np.max(np.abs(dens_psi.values - dens_phi.values)) / peak
         ),
     }
-    report["files"].append(csv_path.name)
-    return _finish(report, out_dir, cfg.scenario)
+    return outputs, {
+        "y_over_compton": grid.points,
+        "density_phi": dens_phi.values,
+        "density_psi": dens_psi.values,
+    }
 
 
-def run_figure2(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    boost = _resolve_boost(cfg)
-    k_factor = KFactor(cfg.k_factor)
+def _figure2(
+    cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum | None
+) -> _Outputs:
     width = cfg.packet_width
     n_points = 4096 if cfg.grid_points is None else cfg.grid_points
-    grid = YGrid(-8.0 * width, 8.0 * width, n_points)
-    p_grid = MomentumGrid.for_packet(width, n_points=cfg.p_grid_points)
-
-    wf_x = synthesize_gaussian(
-        GaussianPacketSpec(width, SPIN_PLUS_X, k_factor), boost, grid, p_grid
-    )
-    wf_z = synthesize_gaussian(
-        GaussianPacketSpec(width, SPIN_PLUS_Z, k_factor), boost, grid, p_grid
-    )
-    dens_x = density(wf_x)
-    dens_z = density(wf_z)
-    for dens in (dens_x, dens_z):
-        if abs(dens.integral() - 1.0) > _NORMALIZATION_TOL:
-            raise ContractError(
-                f"density integral {dens.integral()!r} deviates from 1"
-            )
-
-    csv_path = out_dir / "figure2.csv"
-    _write_csv(
-        csv_path,
-        ["y_over_compton", "density_spin_x", "density_spin_z"],
-        [grid.points, dens_x.values, dens_z.values],
-    )
-
-    report = _base_report(cfg)
-    report["kinematics"] = _kinematics_block(boost, None)
-    report["outputs"] = {
+    with _config_errors():
+        grid = UniformGrid(-8.0 * width, 8.0 * width, n_points)
+        p_grid = UniformGrid.for_packet(width, n_points=cfg.p_grid_points)
+        spec_x = GaussianPacketSpec(width, SPIN_PLUS_X, KFactor(cfg.k_factor))
+        spec_z = GaussianPacketSpec(width, SPIN_PLUS_Z, KFactor(cfg.k_factor))
+    wf_x = synthesize_gaussian(spec_x, boost, grid, p_grid)
+    wf_z = synthesize_gaussian(spec_z, boost, grid, p_grid)
+    dens_x = _normalized_density(wf_x)
+    dens_z = _normalized_density(wf_z)
+    outputs = {
         "sup_norm_difference": float(np.max(np.abs(dens_x.values - dens_z.values))),
         "parseval_ratio_spin_x": wf_x.meta["parseval_ratio"],
         "parseval_ratio_spin_z": wf_z.meta["parseval_ratio"],
         "range_truncated": wf_x.meta["range_truncated"] or wf_z.meta["range_truncated"],
     }
-    report["files"].append(csv_path.name)
-    return _finish(report, out_dir, cfg.scenario)
+    return outputs, {
+        "y_over_compton": grid.points,
+        "density_spin_x": dens_x.values,
+        "density_spin_z": dens_z.values,
+    }
 
 
-def _paired_densities(
-    cfg: ScenarioConfig,
-) -> tuple[BoostParameter, FourMomentum, YGrid, Density, Density]:
-    boost = _resolve_boost(cfg)
-    momentum = _resolve_momentum(cfg)
-    mode = _resolve_mode(cfg)
-    grid = _standing_grid(cfg, momentum)
-    dens_psi = _branch_density(momentum, boost, mode, "z", cfg.outcome, grid)
-    dens_phi = _branch_density(momentum, boost, mode, "x", cfg.outcome, grid)
-    return boost, momentum, grid, dens_psi, dens_phi
+def _ratio(
+    cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
+) -> _Outputs:
+    *_, ratios = _paired_ratios(cfg, boost, momentum)
+    return asdict(ratios), None
 
 
-def run_ratio(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    boost, momentum, _, dens_psi, dens_phi = _paired_densities(cfg)
+def _signaling(
+    cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
+) -> _Outputs:
+    grid, dens_psi, dens_phi = _paired_densities(cfg, boost, momentum)
     det = _resolve_detector(cfg)
-    ratios = ratio_report(dens_psi, dens_phi, det, boost.gamma, momentum.speed)
-    report = _base_report(cfg)
-    report["kinematics"] = _kinematics_block(boost, momentum)
-    report["outputs"] = asdict(ratios)
-    return _finish(report, out_dir, cfg.scenario)
+    curves = tuple(detection_curve(d, det, grid.points) for d in (dens_psi, dens_phi))
+    with _config_errors():
+        sig = signaling_discriminator(dens_psi, dens_phi, det, curves)
+    return asdict(sig), {
+        "y_over_compton": grid.points,
+        "detect_prob_psi": curves[0],
+        "detect_prob_phi": curves[1],
+    }
 
 
-def run_signaling(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    boost, momentum, grid, dens_psi, dens_phi = _paired_densities(cfg)
-    det = _resolve_detector(cfg)
-    sig = signaling_discriminator(dens_psi, dens_phi, det)
-
-    centers = grid.points
-    csv_path = out_dir / "signaling.csv"
-    _write_csv(
-        csv_path,
-        ["y_over_compton", "detect_prob_psi", "detect_prob_phi"],
-        [
-            centers,
-            detection_curve(dens_psi, det, centers),
-            detection_curve(dens_phi, det, centers),
-        ],
+def _paradox(
+    cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
+) -> _Outputs:
+    dens_psi, dens_phi, det, ratios = _paired_ratios(cfg, boost, momentum)
+    sig = signaling_discriminator(
+        dens_psi, dens_phi, det, ratios=(ratios.r_psi, ratios.r_phi)
     )
-
-    report = _base_report(cfg)
-    report["kinematics"] = _kinematics_block(boost, momentum)
-    report["outputs"] = asdict(sig)
-    report["files"].append(csv_path.name)
-    return _finish(report, out_dir, cfg.scenario)
-
-
-def run_paradox(cfg: ScenarioConfig, out_dir: Path) -> dict:
-    boost, momentum, _, dens_psi, dens_phi = _paired_densities(cfg)
-    det = _resolve_detector(cfg)
-    ratios = ratio_report(dens_psi, dens_phi, det, boost.gamma, momentum.speed)
-    sig = signaling_discriminator(dens_psi, dens_phi, det)
 
     pair = build_entangled_pair(momentum.p)
     collapse_probs = {
@@ -389,31 +347,58 @@ def run_paradox(cfg: ScenarioConfig, out_dir: Path) -> dict:
             f"physical mode must not signal, but sup gap is {sig.sup_gap!r}"
         )
 
-    report = _base_report(cfg)
-    report["kinematics"] = _kinematics_block(boost, momentum)
-    report["outputs"] = {
+    outputs = {
         **collapse_probs,
         **asdict(ratios),
         "signaling_sup": sig.sup_gap,
         "signaling_ratio_gap": sig.ratio_gap,
     }
-    return _finish(report, out_dir, cfg.scenario)
+    return outputs, None
 
 
+#: Each scenario's outputs; figure2 is passed no momentum.
 _RUNNERS = {
-    "angle": run_angle,
-    "figure1": run_figure1,
-    "figure2": run_figure2,
-    "ratio": run_ratio,
-    "signaling": run_signaling,
-    "paradox": run_paradox,
+    "angle": _angle,
+    "figure1": _figure1,
+    "figure2": _figure2,
+    "ratio": _ratio,
+    "signaling": _signaling,
+    "paradox": _paradox,
 }
+
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.scenario](cfg, out_dir)
+    boost = _resolve_boost(cfg)
+    momentum = None if cfg.scenario == "figure2" else _resolve_momentum(cfg)
+    outputs, columns = _RUNNERS[cfg.scenario](cfg, boost, momentum)
+    report = {
+        "tool": "spinboost",
+        "tool_version": __version__,
+        "units": _UNITS_NOTE,
+        "scenario": cfg.scenario,
+        "config": asdict(cfg),
+        "kinematics": _kinematics_block(boost, momentum),
+        "outputs": outputs,
+        "files": [],
+    }
+    if columns is not None:
+        csv_path = out_dir / f"{cfg.scenario}.csv"
+        _write_csv(csv_path, columns)
+        report["files"].append(csv_path.name)
+    report_path = out_dir / f"{cfg.scenario}_report.json"
+    with open(report_path, "w", newline="\n") as handle:
+        handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report["files"].append(report_path.name)
+    return report
+
+
+#: argparse converter per ScenarioConfig annotation, read from the annotation
+#: string ("float | None" -> float) so that no type hint is evaluated.
+_CONVERTERS = {"float": float, "int": int, "str": str}
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -424,22 +409,12 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     )
     parser.add_argument("scenario", nargs="?", choices=SCENARIOS)
     parser.add_argument("--config", help="JSON config or report file to replay")
-    parser.add_argument("--gamma-beta", type=float, dest="gamma_beta")
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma-p", type=float, dest="gamma_p")
-    parser.add_argument("--p", type=float)
-    parser.add_argument("--v", type=float)
-    parser.add_argument("--w", type=float, help="detector kernel width")
-    parser.add_argument("--mode", choices=("linear", "physical"))
-    parser.add_argument("--prep", choices=("plus_y", "minus_y", "confined"))
-    parser.add_argument("--basis", choices=("z", "x"))
-    parser.add_argument("--outcome", choices=("+1", "-1", "1"))
-    parser.add_argument("--k-factor", choices=("unity", "sqrt"), dest="k_factor")
-    parser.add_argument("--packet-width", type=float, dest="packet_width")
-    parser.add_argument("--grid-points", type=int, dest="grid_points")
-    parser.add_argument("--half-periods", type=int, dest="half_periods")
-    parser.add_argument("--p-grid-points", type=int, dest="p_grid_points")
-    parser.add_argument("--out", help="output directory (default: out)")
+    for field in fields(ScenarioConfig):
+        if field.name != "scenario":
+            parser.add_argument(
+                "--" + field.name.replace("_", "-"),
+                type=_CONVERTERS[field.type.split(" | ")[0]],
+            )
     return parser.parse_args(argv)
 
 
@@ -448,6 +423,8 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
         with open(args.config) as handle:
             payload = json.load(handle)
         base = payload.get("config", payload)
+        # reports written before the ignored basis option was removed carry it
+        base.pop("basis", None)
         if args.scenario is not None and args.scenario != base.get("scenario"):
             raise ConfigError(
                 f"scenario {args.scenario!r} conflicts with the config file's "
@@ -462,33 +439,8 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
 
     if args.scenario is None:
         raise ConfigError("a scenario name or --config is required")
-
-    overrides = {}
-    for name in (
-        "gamma_beta",
-        "beta",
-        "gamma_p",
-        "p",
-        "v",
-        "w",
-        "mode",
-        "prep",
-        "basis",
-        "k_factor",
-        "packet_width",
-        "grid_points",
-        "half_periods",
-        "p_grid_points",
-        "out",
-    ):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if args.outcome is not None:
-        overrides["outcome"] = int(args.outcome)
-    if overrides.get("k_factor") == "sqrt":
-        overrides["k_factor"] = "sqrt_m_over_p0"
-    return ScenarioConfig(scenario=args.scenario, **overrides)
+    given = {k: v for k, v in vars(args).items() if v is not None and k != "config"}
+    return ScenarioConfig(**given)
 
 
 def _summarize(report: dict) -> None:

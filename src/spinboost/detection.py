@@ -90,7 +90,7 @@ class SignalingReport:
 def detection_probability(dens: Density, det: DetectorSpec, y_c: float) -> float:
     """Trapezoid evaluation of the kernel-weighted density around y_c."""
     grid = dens.grid
-    if y_c < grid.y_min - 3.0 * det.w or y_c > grid.y_max + 3.0 * det.w:
+    if y_c < grid.lo - 3.0 * det.w or y_c > grid.hi + 3.0 * det.w:
         warnings.warn(
             f"detector center {y_c} lies outside the grid window; "
             "kernel mass is truncated",
@@ -172,25 +172,32 @@ def ratio_report(
 
 
 def signaling_discriminator(
-    density_psi: Density, density_phi: Density, det: DetectorSpec
+    density_psi: Density,
+    density_phi: Density,
+    det: DetectorSpec,
+    curves: tuple[np.ndarray, np.ndarray] | None = None,
+    ratios: tuple[float, float] | None = None,
 ) -> SignalingReport:
     """Gap between the two bases' detection statistics.
 
     The sup statistic scans the detector center over the whole grid; a value
     at rounding level certifies that the position statistics carry no record
-    of the remote basis choice for this pair of densities.
+    of the remote basis choice for this pair of densities. Detection
+    ``curves`` over the grid and ratios (r_psi, r_phi) that the caller has
+    already computed are used as given instead of being computed again.
     """
     if density_psi.grid != density_phi.grid:
         raise ValueError("densities must share one grid")
-    centers = density_psi.grid.points
-    curve_psi = detection_curve(density_psi, det, centers)
-    curve_phi = detection_curve(density_phi, det, centers)
-    sup_gap = float(np.max(np.abs(curve_psi - curve_phi)))
-    r_psi = detection_ratio(density_psi, det).ratio
-    r_phi = detection_ratio(density_phi, det).ratio
+    pair = (density_psi, density_phi)
+    if curves is None:
+        curves = tuple(detection_curve(d, det, d.grid.points) for d in pair)
+    if ratios is None:
+        ratios = tuple(detection_ratio(d, det).ratio for d in pair)
+    curve_psi, curve_phi = curves
+    r_psi, r_phi = ratios
     return SignalingReport(
         r_psi=r_psi,
         r_phi=r_phi,
         ratio_gap=abs(r_psi - r_phi),
-        sup_gap=sup_gap,
+        sup_gap=float(np.max(np.abs(curve_psi - curve_phi))),
     )

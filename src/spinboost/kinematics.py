@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "COMPTON_WAVELENGTH",
     "REST_MASS",
@@ -114,22 +116,26 @@ class BoostParameter:
         return cls(speed_from_gamma(gamma_beta))
 
 
-def wigner_half_angle_sine(gamma_p: float, gamma_beta: float) -> float:
+def wigner_half_angle_sine(
+    gamma_p: float | np.ndarray, gamma_beta: float | np.ndarray
+) -> float | np.ndarray:
     """sin(phi/2) of the spin rotation produced by boosting a particle of
     Lorentz factor ``gamma_p`` perpendicular to its momentum with ``gamma_beta``.
 
     Symmetric in its arguments and always in [0, 1/sqrt(2)), so the full
-    rotation angle stays below pi/2.
+    rotation angle stays below pi/2. Either argument may be an array; the
+    result is then an array of their broadcast shape, and a float otherwise.
     """
-    if not (gamma_p >= 1.0 and gamma_beta >= 1.0):
+    lowest = np.minimum(gamma_p, gamma_beta)
+    if not (lowest >= 1.0).all():
         raise ValueError(
             f"both Lorentz factors must be >= 1, got ({gamma_p!r}, {gamma_beta!r})"
         )
-    if gamma_p - 1.0 < _DEGENERATE_GAMMA or gamma_beta - 1.0 < _DEGENERATE_GAMMA:
-        return 0.0
-    return math.sqrt(
+    s = np.sqrt(
         (gamma_p - 1.0) * (gamma_beta - 1.0) / (2.0 * (1.0 + gamma_p * gamma_beta))
     )
+    s = np.where(lowest - 1.0 < _DEGENERATE_GAMMA, 0.0, s)
+    return float(s) if s.ndim == 0 else s
 
 
 def wigner_angle(momentum: FourMomentum, boost: BoostParameter) -> float:

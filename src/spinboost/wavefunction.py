@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import BoostParameter, _DEGENERATE_GAMMA
+from .kinematics import BoostParameter, wigner_half_angle_sine
 from .spin import Spinor
 from .states import MomentumSpinState, common_momentum_magnitude
 
 __all__ = [
-    "YGrid",
-    "MomentumGrid",
+    "UniformGrid",
     "KFactor",
     "GaussianPacketSpec",
     "PositionWavefunction",
@@ -40,26 +39,26 @@ _SYNTH_CHUNK = 512
 
 
 @dataclass(frozen=True)
-class YGrid:
-    """Uniform position grid, inclusive of both endpoints."""
+class UniformGrid:
+    """Uniform grid of positions or momenta, inclusive of both endpoints."""
 
-    y_min: float
-    y_max: float
+    lo: float
+    hi: float
     n_points: int
 
     def __post_init__(self) -> None:
         if self.n_points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.n_points}")
-        if not self.y_max > self.y_min:
-            raise ValueError(f"empty grid window [{self.y_min}, {self.y_max}]")
+        if not self.hi > self.lo:
+            raise ValueError(f"empty grid window [{self.lo}, {self.hi}]")
 
     @property
     def spacing(self) -> float:
-        return (self.y_max - self.y_min) / (self.n_points - 1)
+        return (self.hi - self.lo) / (self.n_points - 1)
 
     @property
     def points(self) -> np.ndarray:
-        return np.linspace(self.y_min, self.y_max, self.n_points)
+        return np.linspace(self.lo, self.hi, self.n_points)
 
     def trapezoid_weights(self) -> np.ndarray:
         w = np.full(self.n_points, self.spacing)
@@ -70,8 +69,8 @@ class YGrid:
     @classmethod
     def standing_wave(
         cls, p: float, half_periods: int = 8, n_points: int = 4097
-    ) -> "YGrid":
-        """Window of an integer number of half-periods pi/p, centered on 0.
+    ) -> "UniformGrid":
+        """Position window of an integer number of half-periods pi/p, centered on 0.
 
         The default 4096 intervals make the pattern's zeros, extrema and the
         origin exact grid points whenever ``n_points - 1`` is divisible by
@@ -84,40 +83,11 @@ class YGrid:
         half_window = 0.5 * half_periods * math.pi / p
         return cls(-half_window, half_window, n_points)
 
-
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Uniform momentum quadrature grid, inclusive of both endpoints."""
-
-    p_min: float
-    p_max: float
-    n_points: int
-
-    def __post_init__(self) -> None:
-        if self.n_points < 2:
-            raise ValueError(f"need at least 2 quadrature points, got {self.n_points}")
-        if not self.p_max > self.p_min:
-            raise ValueError(f"empty momentum window [{self.p_min}, {self.p_max}]")
-
-    @property
-    def spacing(self) -> float:
-        return (self.p_max - self.p_min) / (self.n_points - 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.n_points)
-
-    def trapezoid_weights(self) -> np.ndarray:
-        w = np.full(self.n_points, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-
     @classmethod
     def for_packet(
         cls, width: float, extent: float = 8.0, n_points: int = 4096
-    ) -> "MomentumGrid":
-        """Symmetric range covering ``extent`` momentum-amplitude widths."""
+    ) -> "UniformGrid":
+        """Symmetric momentum range covering ``extent`` momentum-amplitude widths."""
         if not (math.isfinite(width) and width > 0.0):
             raise ValueError(f"packet width must be positive, got {width!r}")
         return cls(-extent / width, extent / width, n_points)
@@ -148,21 +118,20 @@ class GaussianPacketSpec:
 class PositionWavefunction:
     """Sampled spin-up/spin-down complex components on a y grid."""
 
-    grid: YGrid
+    grid: UniformGrid
     up: np.ndarray
     down: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def norm_integral(self) -> float:
-        w = self.grid.trapezoid_weights()
-        return float(np.sum(w * (np.abs(self.up) ** 2 + np.abs(self.down) ** 2)))
+        return density(self).integral()
 
 
 @dataclass(frozen=True, eq=False)
 class Density:
     """Sampled position density on a y grid."""
 
-    grid: YGrid
+    grid: UniformGrid
     values: np.ndarray
 
     def integral(self) -> float:
@@ -176,16 +145,18 @@ def density(wavefunction: PositionWavefunction) -> Density:
 
 
 def _normalized(
-    grid: YGrid, up: np.ndarray, down: np.ndarray
+    grid: UniformGrid, up: np.ndarray, down: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    raw = float(np.sum(grid.trapezoid_weights() * (np.abs(up) ** 2 + np.abs(down) ** 2)))
+    raw = Density(grid, np.abs(up) ** 2 + np.abs(down) ** 2).integral()
     if raw <= 0.0:
         raise ValueError("wavefunction vanishes on the grid window")
     scale = 1.0 / math.sqrt(raw)
     return up * scale, down * scale, raw
 
 
-def synthesize_discrete(state: MomentumSpinState, grid: YGrid) -> PositionWavefunction:
+def synthesize_discrete(
+    state: MomentumSpinState, grid: UniformGrid
+) -> PositionWavefunction:
     """Closed-form plane-wave synthesis of a discrete superposition.
 
     All momenta must share one magnitude; then the energy-dependent weight
@@ -212,16 +183,6 @@ def synthesize_discrete(state: MomentumSpinState, grid: YGrid) -> PositionWavefu
     return PositionWavefunction(grid, up, down, {"momentum_magnitude": magnitude})
 
 
-def _half_angle_sine_array(gamma_p: np.ndarray, gamma_beta: float) -> np.ndarray:
-    s = np.sqrt(
-        (gamma_p - 1.0) * (gamma_beta - 1.0) / (2.0 * (1.0 + gamma_p * gamma_beta))
-    )
-    s[gamma_p - 1.0 < _DEGENERATE_GAMMA] = 0.0
-    if gamma_beta - 1.0 < _DEGENERATE_GAMMA:
-        s[:] = 0.0
-    return s
-
-
 def _fourier_synthesis(
     y: np.ndarray, p: np.ndarray, g_up: np.ndarray, g_down: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -240,8 +201,8 @@ def _fourier_synthesis(
 def synthesize_gaussian(
     spec: GaussianPacketSpec,
     boost: BoostParameter | None = None,
-    grid: YGrid | None = None,
-    p_grid: MomentumGrid | None = None,
+    grid: UniformGrid | None = None,
+    p_grid: UniformGrid | None = None,
 ) -> PositionWavefunction:
     """Quadrature synthesis of a Gaussian packet, optionally in a boosted frame.
 
@@ -268,9 +229,9 @@ def synthesize_gaussian(
         edge amplitude ratio and a truncation flag.
     """
     if grid is None:
-        grid = YGrid(-8.0 * spec.width, 8.0 * spec.width, 4096)
+        grid = UniformGrid(-8.0 * spec.width, 8.0 * spec.width, 4096)
     if p_grid is None:
-        p_grid = MomentumGrid.for_packet(spec.width)
+        p_grid = UniformGrid.for_packet(spec.width)
 
     p = p_grid.points
     amplitude = np.exp(-0.5 * (p * spec.width) ** 2)
@@ -294,7 +255,7 @@ def synthesize_gaussian(
         sin_half = np.zeros_like(p)
     else:
         gamma_p = np.sqrt(1.0 + p**2)
-        half_sine = _half_angle_sine_array(gamma_p, boost.gamma)
+        half_sine = wigner_half_angle_sine(gamma_p, boost.gamma)
         sin_half = np.sign(p) * half_sine
         cos_half = np.sqrt(1.0 - half_sine**2)
 

@@ -16,7 +16,7 @@ from spinboost import (
     PreparationContext,
     Spinor,
     StateComponent,
-    YGrid,
+    UniformGrid,
     boost_linear,
     boost_physical,
     build_entangled_pair,
@@ -66,7 +66,7 @@ def test_criterion_1_wigner_half_angle_reference_value():
 def _exact_ratio_of_ratios(gamma_beta, v, w):
     momentum = FourMomentum.from_speed(v)
     boost = BoostParameter.from_gamma(gamma_beta)
-    grid = YGrid.standing_wave(momentum.p)
+    grid = UniformGrid.standing_wave(momentum.p)
     det = DetectorSpec(w)
     r_psi = detection_ratio(_linear_density(momentum, boost, "z", -1, grid), det).ratio
     r_phi = detection_ratio(_linear_density(momentum, boost, "x", -1, grid), det).ratio
@@ -89,7 +89,7 @@ def test_criterion_2_small_velocity_limit():
 
 def test_criterion_3_closed_form_detection_oracle():
     p = 1.0
-    grid = YGrid.standing_wave(p)
+    grid = UniformGrid.standing_wave(p)
     y = grid.points
     values = np.sin(p * y) ** 2
     values /= np.sum(grid.trapezoid_weights() * values)
@@ -140,7 +140,7 @@ def test_criterion_4_first_figure_reproduction(tmp_path):
 def test_criterion_5_physical_mode_never_signals():
     momentum = FourMomentum.from_gamma(1.2)
     boost = BoostParameter.from_gamma(10.0)
-    grid = YGrid.standing_wave(momentum.p)
+    grid = UniformGrid.standing_wave(momentum.p)
     det = DetectorSpec(1.0)
     worst_density = 0.0
     worst_curve = 0.0
@@ -175,7 +175,7 @@ def test_criterion_6_linear_mode_always_signals():
         boost = BoostParameter.from_gamma(gamma_beta)
         for gamma_p in gamma_ps:
             momentum = FourMomentum.from_gamma(gamma_p)
-            grid = YGrid.standing_wave(momentum.p, n_points=1025)
+            grid = UniformGrid.standing_wave(momentum.p, n_points=1025)
             dens_psi = _linear_density(momentum, boost, "z", -1, grid)
             dens_phi = _linear_density(momentum, boost, "x", -1, grid)
             for w in widths:
@@ -194,7 +194,7 @@ def test_criterion_6_linear_mode_always_signals():
 def test_criterion_7_outcome_independence():
     momentum = FourMomentum.from_gamma(1.2)
     boost = BoostParameter.from_gamma(10.0)
-    grid = YGrid.standing_wave(momentum.p)
+    grid = UniformGrid.standing_wave(momentum.p)
     worst = 0.0
     for basis in ("z", "x"):
         minus = _linear_density(momentum, boost, basis, -1, grid)
@@ -240,7 +240,7 @@ def test_criterion_8_unitarity_and_norms():
         ):
             worst_norm = max(worst_norm, abs(moved.norm() - 1.0))
         if draw % 50 == 0:
-            grid = YGrid.standing_wave(p, n_points=513)
+            grid = UniformGrid.standing_wave(p, n_points=513)
             dens = density(synthesize_discrete(boost_linear(state, boost), grid))
             worst_integral = max(worst_integral, abs(dens.integral() - 1.0))
     _report(

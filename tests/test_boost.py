@@ -103,11 +103,6 @@ class TestBoostPhysical:
         state = standing_wave_state(P_REF, SPIN_PLUS_Z)
         assert boost_physical(state, BOOST, PreparationContext.CONFINED) is state
 
-    def test_free_context_is_a_contract_violation(self):
-        state = standing_wave_state(P_REF, SPIN_PLUS_Z)
-        with pytest.raises(ValueError, match="free"):
-            boost_physical(state, BOOST, PreparationContext.FREE)
-
     def test_unequal_magnitudes_are_rejected(self):
         mixed = MomentumSpinState(
             (
@@ -183,8 +178,6 @@ class TestBoostMode:
     def test_physical_mode_requires_context(self):
         with pytest.raises(ValueError):
             BoostMode("physical")
-        with pytest.raises(ValueError):
-            BoostMode("physical", PreparationContext.FREE)
 
     def test_linear_mode_takes_no_context(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -46,6 +47,45 @@ class TestConfigHandling:
     def test_bad_beta_is_a_config_error(self, tmp_path):
         code, _ = _run(tmp_path, "angle", "--beta", "1.5")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ratio", "--grid-points", "1"],
+            ["ratio", "--half-periods", "0"],
+            ["figure2", "--packet-width", "0"],
+            ["figure2", "--p-grid-points", "1"],
+            ["ratio", "--grid-points", "5"],
+        ],
+    )
+    def test_invalid_grid_setting_is_a_config_error(self, tmp_path, argv):
+        code, _ = _run(tmp_path, *argv)
+        assert code == 2
+
+    def test_basis_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            _run(tmp_path, "angle", "--basis", "z")
+        assert err.value.code == 2
+
+    def test_every_config_field_is_an_option(self):
+        fields = [f.name for f in dataclasses.fields(cli.ScenarioConfig)]
+        argv = ["--" + name.replace("_", "-") for name in fields[1:]]
+        parsed = cli._parse_args(
+            ["angle", *(arg for flag in argv for arg in (flag, "1"))]
+        )
+        assert all(getattr(parsed, name) is not None for name in fields)
+
+    def test_replay_drops_a_recorded_basis(self, tmp_path):
+        _, first = _run(tmp_path / "a", "angle")
+        report = json.loads((first / "angle_report.json").read_text())
+        report["config"]["basis"] = "x"
+        old = tmp_path / "old_report.json"
+        old.write_text(json.dumps(report))
+        code = cli.main(["--config", str(old), "--out", str(tmp_path / "b")])
+        assert code == 0
+        replayed = json.loads((tmp_path / "b" / "angle_report.json").read_text())
+        assert "basis" not in replayed["config"]
+        assert replayed["outputs"] == report["outputs"]
 
     def test_negative_outcome_parses(self, tmp_path):
         code, out = _run(tmp_path, "figure1", "--outcome", "-1")
@@ -152,6 +192,16 @@ class TestFigure2:
         _, data = _read_csv(out / "figure2.csv")
         np.testing.assert_allclose(data[:, 1], data[:, 2], atol=1e-12)
 
+    def test_k_factor_short_spelling_is_an_alias(self, tmp_path):
+        small = ["--grid-points", "512", "--p-grid-points", "512"]
+        _, short = _run(tmp_path / "a", "figure2", "--k-factor", "sqrt", *small)
+        _, full = _run(
+            tmp_path / "b", "figure2", "--k-factor", "sqrt_m_over_p0", *small
+        )
+        assert (short / "figure2.csv").read_bytes() == (
+            full / "figure2.csv"
+        ).read_bytes()
+
     def test_k_factor_variants_differ(self, tmp_path):
         _, out_sqrt = _run(tmp_path / "a", "figure2")
         _, out_unity = _run(tmp_path / "b", "figure2", "--k-factor", "unity")
@@ -215,6 +265,37 @@ class TestParadoxScenario:
         assert code == 0
         outputs = json.loads((out / "paradox_report.json").read_text())["outputs"]
         assert outputs["ratio_of_ratios"] == pytest.approx(1.499, abs=0.01)
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize(
+        "scenario,curves,ratios",
+        [("signaling", 2, 2), ("paradox", 2, 2), ("ratio", 0, 2)],
+    )
+    def test_each_statistic_is_computed_once(
+        self, tmp_path, monkeypatch, scenario, curves, ratios
+    ):
+        from spinboost import detection
+
+        calls = {"detection_curve": 0, "detection_ratio": 0}
+
+        def counted(name):
+            original = getattr(detection, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name)
+            monkeypatch.setattr(detection, name, wrapper)
+            if hasattr(cli, name):
+                monkeypatch.setattr(cli, name, wrapper)
+        code, _ = _run(tmp_path, scenario, "--grid-points", "1025")
+        assert code == 0
+        assert calls == {"detection_curve": curves, "detection_ratio": ratios}
 
 
 class TestContractGate:

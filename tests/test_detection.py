@@ -8,7 +8,7 @@ from spinboost import (
     Density,
     DetectorSpec,
     FourMomentum,
-    YGrid,
+    UniformGrid,
     boost_linear,
     density,
     detection_curve,
@@ -27,7 +27,7 @@ import oracles
 
 def _standing_density(p, a=1.0, b=0.0, half_periods=8, n_points=4097):
     """Normalized density a*sin(p y)**2 + b*cos(p y)**2 on a clean window."""
-    grid = YGrid.standing_wave(p, half_periods, n_points)
+    grid = UniformGrid.standing_wave(p, half_periods, n_points)
     y = grid.points
     values = a * np.sin(p * y) ** 2 + b * np.cos(p * y) ** 2
     values /= np.sum(grid.trapezoid_weights() * values)
@@ -35,7 +35,7 @@ def _standing_density(p, a=1.0, b=0.0, half_periods=8, n_points=4097):
 
 
 def _uniform_density(grid):
-    values = np.full(grid.n_points, 1.0 / (grid.y_max - grid.y_min))
+    values = np.full(grid.n_points, 1.0 / (grid.hi - grid.lo))
     return Density(grid, values)
 
 
@@ -57,14 +57,14 @@ class TestDetectorSpec:
 
     def test_kernel_has_unit_mass_on_wide_grids(self):
         det = DetectorSpec(2.0)
-        grid = YGrid(-12.0, 12.0, 4001)  # spans 6 widths
+        grid = UniformGrid(-12.0, 12.0, 4001)  # spans 6 widths
         mass = float(np.sum(grid.trapezoid_weights() * det.kernel(grid.points)))
         assert mass == pytest.approx(1.0, abs=1e-10)
 
 
 class TestDetectionProbability:
     def test_flat_density_is_position_independent(self):
-        grid = YGrid(-60.0, 60.0, 6001)
+        grid = UniformGrid(-60.0, 60.0, 6001)
         dens = _uniform_density(grid)
         det = DetectorSpec(2.0)
         probs = [detection_probability(dens, det, y_c) for y_c in (-10.0, 0.0, 7.5)]
@@ -76,7 +76,7 @@ class TestDetectionProbability:
         dens = _standing_density(p)
         det = DetectorSpec(1.0)
         # window-normalized density: sin^2 / (window/2)
-        window = dens.grid.y_max - dens.grid.y_min
+        window = dens.grid.hi - dens.grid.lo
         expected = (1.0 - math.exp(-1.0)) / 2.0 * (2.0 / window)
         assert detection_probability(dens, det, 0.0) == pytest.approx(
             expected, rel=1e-6
@@ -86,7 +86,7 @@ class TestDetectionProbability:
         p = 1.0
         dens = _standing_density(p)
         det = DetectorSpec(1.0)
-        window = dens.grid.y_max - dens.grid.y_min
+        window = dens.grid.hi - dens.grid.lo
         expected = (1.0 + math.exp(-1.0)) / 2.0 * (2.0 / window)
         assert detection_probability(dens, det, math.pi / 2.0) == pytest.approx(
             expected, rel=1e-6
@@ -96,7 +96,7 @@ class TestDetectionProbability:
         dens = _standing_density(1.0)
         det = DetectorSpec(1.0)
         with pytest.warns(UserWarning, match="truncated"):
-            detection_probability(dens, det, dens.grid.y_max + 4.0)
+            detection_probability(dens, det, dens.grid.hi + 4.0)
 
     def test_curve_matches_pointwise_evaluation(self):
         dens = _standing_density(1.3, a=0.8, b=0.2)
@@ -155,12 +155,12 @@ class TestDetectionRatio:
             previous = current
 
     def test_all_zero_density_has_no_interior_peak(self):
-        grid = YGrid(-1.0, 1.0, 101)
+        grid = UniformGrid(-1.0, 1.0, 101)
         with pytest.raises(ValueError):
             detection_ratio(Density(grid, np.zeros(101)), DetectorSpec(1.0))
 
     def test_edge_peak_is_rejected(self):
-        grid = YGrid(-1.0, 1.0, 101)
+        grid = UniformGrid(-1.0, 1.0, 101)
         values = np.linspace(0.0, 1.0, 101)
         with pytest.raises(ValueError, match="interior"):
             detection_ratio(Density(grid, values), DetectorSpec(1.0))

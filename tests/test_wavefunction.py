@@ -9,13 +9,12 @@ from spinboost import (
     GaussianPacketSpec,
     KFactor,
     MeasurementSpec,
-    MomentumGrid,
     MomentumSpinState,
     PreparationContext,
     SPIN_PLUS_X,
     SPIN_PLUS_Z,
     StateComponent,
-    YGrid,
+    UniformGrid,
     boost_linear,
     boost_physical,
     build_entangled_pair,
@@ -31,11 +30,11 @@ from spinboost import (
 P_REF = FourMomentum.from_gamma(1.2).p
 BOOST = BoostParameter.from_gamma(10.0)
 PHI = wigner_angle(FourMomentum(P_REF), BOOST)
-GRID = YGrid.standing_wave(P_REF)
+GRID = UniformGrid.standing_wave(P_REF)
 
 
 def _window_length(grid):
-    return grid.y_max - grid.y_min
+    return grid.hi - grid.lo
 
 
 def _branch(basis, outcome, recenter=True):
@@ -48,7 +47,7 @@ def _branch(basis, outcome, recenter=True):
 
 class TestGrids:
     def test_spacing_and_points(self):
-        grid = YGrid(-1.0, 1.0, 5)
+        grid = UniformGrid(-1.0, 1.0, 5)
         assert grid.spacing == 0.5
         np.testing.assert_allclose(grid.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
         assert grid.trapezoid_weights().sum() == pytest.approx(2.0)
@@ -56,11 +55,11 @@ class TestGrids:
     @pytest.mark.parametrize("n", [0, 1])
     def test_needs_two_points(self, n):
         with pytest.raises(ValueError):
-            YGrid(0.0, 1.0, n)
+            UniformGrid(0.0, 1.0, n)
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
-            YGrid(1.0, 1.0, 8)
+            UniformGrid(1.0, 1.0, 8)
 
     def test_standing_wave_grid_hits_pattern_landmarks(self):
         y = GRID.points
@@ -72,8 +71,8 @@ class TestGrids:
             assert abs(math.cos(P_REF * y[2048 + 256 * k])) < 1e-12
 
     def test_momentum_grid_for_packet(self):
-        p_grid = MomentumGrid.for_packet(2.0)
-        assert p_grid.p_min == -4.0 and p_grid.p_max == 4.0
+        p_grid = UniformGrid.for_packet(2.0)
+        assert p_grid.lo == -4.0 and p_grid.hi == 4.0
         assert p_grid.n_points == 4096
 
 
@@ -242,7 +241,7 @@ class TestSynthesizeGaussian:
         spec = GaussianPacketSpec(1.0, SPIN_PLUS_Z)
         with pytest.warns(UserWarning, match="edge amplitude"):
             wavefunction = synthesize_gaussian(
-                spec, None, p_grid=MomentumGrid(-2.0, 2.0, 512)
+                spec, None, p_grid=UniformGrid(-2.0, 2.0, 512)
             )
         assert wavefunction.meta["range_truncated"]
 
