@@ -5,8 +5,9 @@ The library builds the entangled two-particle state, collapses it by a
 remote spin measurement, carries the surviving particle into a perpendicular
 moving frame under either of two spin-transformation semantics (per-momentum
 linear rotation, or one preparation-fixed common rotation), synthesizes the
-position wavefunction, and pushes it through a Gaussian-kernel detector
-model to obtain min-to-max detection ratios and no-signaling statistics.
+position wavefunction, and pushes its fringe visibility through a
+Gaussian-kernel detector model, in closed form, to obtain min-to-max
+detection ratios and no-signaling statistics.
 """
 
 from .kinematics import (
@@ -40,6 +41,7 @@ from .states import (
     center_interference_minimum,
     collapse,
     common_momentum_magnitude,
+    fringe_visibility,
     standing_wave_state,
 )
 from .boost import (
@@ -62,10 +64,8 @@ from .wavefunction import (
 from .detection import (
     DetectorSpec,
     RatioReport,
-    RatioResult,
     SignalingReport,
     detection_curve,
-    detection_probability,
     detection_ratio,
     ratio_report,
     signaling_discriminator,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -24,7 +25,6 @@ from . import __version__
 from .boost import BoostMode, PreparationContext, transform
 from .detection import (
     DetectorSpec,
-    RatioReport,
     detection_curve,
     ratio_report,
     signaling_discriminator,
@@ -38,9 +38,11 @@ from .kinematics import (
 from .spin import SPIN_PLUS_X, SPIN_PLUS_Z
 from .states import (
     MeasurementSpec,
+    MomentumSpinState,
     build_entangled_pair,
     center_interference_minimum,
     collapse,
+    fringe_visibility,
 )
 from .wavefunction import (
     Density,
@@ -109,6 +111,14 @@ class ScenarioConfig:
             raise ConfigError(
                 f"k_factor must be unity or sqrt_m_over_p0, got {self.k_factor!r}"
             )
+        for name, least in (("grid_points", 2), ("half_periods", 1), ("p_grid_points", 2)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value!r}")
+        if not (math.isfinite(self.packet_width) and self.packet_width > 0.0):
+            raise ConfigError(
+                f"packet_width must be positive and finite, got {self.packet_width!r}"
+            )
 
 
 @contextmanager
@@ -167,50 +177,24 @@ def _normalized_density(wavefunction: PositionWavefunction) -> Density:
     return dens
 
 
-def _branch_density(
-    momentum: FourMomentum,
-    boost: BoostParameter,
-    mode: BoostMode,
-    basis: str,
-    outcome: int,
-    grid: UniformGrid,
-) -> Density:
-    """Collapse one basis branch, boost particle 2, synthesize its density.
-
-    The origin is calibrated to the interference minimum of the observed
-    pattern, which is where the detector's reference point sits by
-    construction; this is an exact rigid translation in state space.
-    """
-    pair = build_entangled_pair(momentum.p)
-    _, state = collapse(pair, MeasurementSpec(basis, outcome))
-    assert state is not None
-    state = transform(state, boost, mode)
-    state = center_interference_minimum(state)
-    return _normalized_density(synthesize_discrete(state, grid))
-
-
-def _paired_densities(
+def _branch_states(
     cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
-) -> tuple[UniformGrid, Density, Density]:
-    """The standing-wave grid and the z-basis (psi) and x-basis (phi) densities."""
+) -> list[MomentumSpinState]:
+    """Particle 2 after the z-basis (psi) and the x-basis (phi) measurement,
+    carried into the boosted frame."""
     mode = _resolve_mode(cfg)
+    pair = build_entangled_pair(momentum.p)
+    states = []
+    for basis in ("z", "x"):
+        _, state = collapse(pair, MeasurementSpec(basis, cfg.outcome))
+        assert state is not None
+        states.append(transform(state, boost, mode))
+    return states
+
+
+def _standing_grid(cfg: ScenarioConfig, momentum: FourMomentum) -> UniformGrid:
     n_points = 4097 if cfg.grid_points is None else cfg.grid_points
-    with _config_errors():
-        grid = UniformGrid.standing_wave(momentum.p, cfg.half_periods, n_points)
-    dens_psi = _branch_density(momentum, boost, mode, "z", cfg.outcome, grid)
-    dens_phi = _branch_density(momentum, boost, mode, "x", cfg.outcome, grid)
-    return grid, dens_psi, dens_phi
-
-
-def _paired_ratios(
-    cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
-) -> tuple[Density, Density, DetectorSpec, RatioReport]:
-    """Both bases' densities, the detector and the ratio report on them."""
-    _, dens_psi, dens_phi = _paired_densities(cfg, boost, momentum)
-    det = _resolve_detector(cfg)
-    with _config_errors():
-        ratios = ratio_report(dens_psi, dens_phi, det, boost.gamma, momentum.speed)
-    return dens_psi, dens_phi, det, ratios
+    return UniformGrid.standing_wave(momentum.p, cfg.half_periods, n_points)
 
 
 def _kinematics_block(
@@ -258,16 +242,20 @@ def _angle(
 def _figure1(
     cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
 ) -> _Outputs:
-    grid, dens_psi, dens_phi = _paired_densities(cfg, boost, momentum)
-    peak = float(max(dens_psi.values.max(), dens_phi.values.max()))
-    psi_max = float(dens_psi.values.max())
-    psi_min = float(dens_psi.values.min())
+    grid = _standing_grid(cfg, momentum)
+    states = _branch_states(cfg, boost, momentum)
+    vis_psi, vis_phi = (fringe_visibility(s) for s in states)
+    # the origin is calibrated to the interference minimum of the observed
+    # pattern, where the detector's reference point sits by construction;
+    # this is an exact rigid translation in state space
+    dens_psi, dens_phi = (
+        _normalized_density(synthesize_discrete(center_interference_minimum(s), grid))
+        for s in states
+    )
     outputs = {
-        "visibility_psi": (psi_max - psi_min) / (psi_max + psi_min),
-        "min_to_max_psi": psi_min / psi_max,
-        "sup_gap_over_peak": float(
-            np.max(np.abs(dens_psi.values - dens_phi.values)) / peak
-        ),
+        "visibility_psi": vis_psi,
+        "min_to_max_psi": (1.0 - vis_psi) / (1.0 + vis_psi),
+        "sup_gap_over_peak": abs(vis_psi - vis_phi) / (1.0 + max(vis_psi, vis_phi)),
     }
     return outputs, {
         "y_over_compton": grid.points,
@@ -281,11 +269,10 @@ def _figure2(
 ) -> _Outputs:
     width = cfg.packet_width
     n_points = 4096 if cfg.grid_points is None else cfg.grid_points
-    with _config_errors():
-        grid = UniformGrid(-8.0 * width, 8.0 * width, n_points)
-        p_grid = UniformGrid.for_packet(width, n_points=cfg.p_grid_points)
-        spec_x = GaussianPacketSpec(width, SPIN_PLUS_X, KFactor(cfg.k_factor))
-        spec_z = GaussianPacketSpec(width, SPIN_PLUS_Z, KFactor(cfg.k_factor))
+    grid = UniformGrid(-8.0 * width, 8.0 * width, n_points)
+    p_grid = UniformGrid.for_packet(width, n_points=cfg.p_grid_points)
+    spec_x = GaussianPacketSpec(width, SPIN_PLUS_X, KFactor(cfg.k_factor))
+    spec_z = GaussianPacketSpec(width, SPIN_PLUS_Z, KFactor(cfg.k_factor))
     wf_x = synthesize_gaussian(spec_x, boost, grid, p_grid)
     wf_z = synthesize_gaussian(spec_z, boost, grid, p_grid)
     dens_x = _normalized_density(wf_x)
@@ -306,31 +293,34 @@ def _figure2(
 def _ratio(
     cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
 ) -> _Outputs:
-    *_, ratios = _paired_ratios(cfg, boost, momentum)
-    return asdict(ratios), None
+    vis = [fringe_visibility(s) for s in _branch_states(cfg, boost, momentum)]
+    det = _resolve_detector(cfg)
+    return asdict(ratio_report(momentum.p, *vis, det, boost.gamma, momentum.speed)), None
 
 
 def _signaling(
     cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
 ) -> _Outputs:
-    grid, dens_psi, dens_phi = _paired_densities(cfg, boost, momentum)
+    grid = _standing_grid(cfg, momentum)
+    vis = [fringe_visibility(s) for s in _branch_states(cfg, boost, momentum)]
     det = _resolve_detector(cfg)
-    curves = tuple(detection_curve(d, det, grid.points) for d in (dens_psi, dens_phi))
-    with _config_errors():
-        sig = signaling_discriminator(dens_psi, dens_phi, det, curves)
+    sig = signaling_discriminator(momentum.p, *vis, det, grid)
     return asdict(sig), {
         "y_over_compton": grid.points,
-        "detect_prob_psi": curves[0],
-        "detect_prob_phi": curves[1],
+        "detect_prob_psi": detection_curve(momentum.p, vis[0], det, grid),
+        "detect_prob_phi": detection_curve(momentum.p, vis[1], det, grid),
     }
 
 
 def _paradox(
     cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
 ) -> _Outputs:
-    dens_psi, dens_phi, det, ratios = _paired_ratios(cfg, boost, momentum)
+    grid = _standing_grid(cfg, momentum)
+    vis = [fringe_visibility(s) for s in _branch_states(cfg, boost, momentum)]
+    det = _resolve_detector(cfg)
+    ratios = ratio_report(momentum.p, *vis, det, boost.gamma, momentum.speed)
     sig = signaling_discriminator(
-        dens_psi, dens_phi, det, ratios=(ratios.r_psi, ratios.r_phi)
+        momentum.p, *vis, det, grid, ratios=(ratios.r_psi, ratios.r_phi)
     )
 
     pair = build_entangled_pair(momentum.p)
@@ -373,7 +363,9 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     boost = _resolve_boost(cfg)
-    momentum = None if cfg.scenario == "figure2" else _resolve_momentum(cfg)
+    momentum = _resolve_momentum(cfg)
+    if cfg.scenario == "figure2":  # validated, but the packet has no one momentum
+        momentum = None
     outputs, columns = _RUNNERS[cfg.scenario](cfg, boost, momentum)
     report = {
         "tool": "spinboost",
@@ -400,6 +392,10 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 #: string ("float | None" -> float) so that no type hint is evaluated.
 _CONVERTERS = {"float": float, "int": int, "str": str}
 
+#: JSON value types a config file may give per annotation name; an integer
+#: is a valid float, a boolean is not a number.
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,), "None": (type(None),)}
+
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
@@ -418,11 +414,26 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _check_types(base: dict) -> None:
+    """Refuse config-file values whose type is not their field's."""
+    for field in fields(ScenarioConfig):
+        allowed = [t for name in field.type.split(" | ") for t in _JSON_TYPES[name]]
+        if field.name in base and type(base[field.name]) not in allowed:
+            value = base[field.name]
+            raise ConfigError(f"{field.name} must be {field.type}, got {value!r}")
+
+
 def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     if args.config is not None:
-        with open(args.config) as handle:
-            payload = json.load(handle)
-        base = payload.get("config", payload)
+        try:
+            with open(args.config) as handle:
+                payload = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from None
+        base = payload.get("config", payload) if isinstance(payload, dict) else payload
+        if not isinstance(base, dict):
+            raise ConfigError("a config file must hold a JSON object")
+        _check_types(base)
         # reports written before the ignored basis option was removed carry it
         base.pop("basis", None)
         if args.scenario is not None and args.scenario != base.get("scenario"):

@@ -5,6 +5,13 @@ probability of a count with the detector centered at y_c is the density
 convolved with a normalized Gaussian kernel of width w. Widths are bounded
 below by the Compton wavelength (= 1 in internal units) because the particle
 cannot be localized more sharply than that.
+
+Every density detected here is that of a superposition of the momenta +p
+and -p with its interference minimum at the origin, normalized over a window
+of whole half-periods pi/p of length L: (1 - V cos 2py) / L, with V the
+fringe visibility (``states.fringe_visibility``). The kernel turns it into
+exactly (1 - V E cos 2p y_c) / L with E = exp(-p**2 w**2), so every statistic
+below is computed in closed form from (p, V).
 """
 
 from __future__ import annotations
@@ -15,22 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavefunction import Density
+from .wavefunction import UniformGrid
 
 __all__ = [
     "DetectorSpec",
-    "RatioResult",
     "RatioReport",
     "SignalingReport",
-    "detection_probability",
     "detection_curve",
     "detection_ratio",
     "small_velocity_approx",
     "ratio_report",
     "signaling_discriminator",
 ]
-
-_CURVE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -49,19 +52,6 @@ class DetectorSpec:
                 f"detector width {self.w} is within 5% of the localization limit",
                 stacklevel=2,
             )
-
-    def kernel(self, y: np.ndarray) -> np.ndarray:
-        return np.exp(-((y / self.w) ** 2)) / (self.w * math.sqrt(math.pi))
-
-
-@dataclass(frozen=True)
-class RatioResult:
-    """Min-to-max detection ratio of one density curve."""
-
-    ratio: float
-    peak_location: float
-    prob_origin: float
-    prob_peak: float
 
 
 @dataclass(frozen=True)
@@ -87,51 +77,24 @@ class SignalingReport:
     sup_gap: float
 
 
-def detection_probability(dens: Density, det: DetectorSpec, y_c: float) -> float:
-    """Trapezoid evaluation of the kernel-weighted density around y_c."""
-    grid = dens.grid
-    if y_c < grid.lo - 3.0 * det.w or y_c > grid.hi + 3.0 * det.w:
-        warnings.warn(
-            f"detector center {y_c} lies outside the grid window; "
-            "kernel mass is truncated",
-            stacklevel=2,
-        )
-    kernel = det.kernel(grid.points - y_c)
-    return float(np.sum(grid.trapezoid_weights() * kernel * dens.values))
-
-
 def detection_curve(
-    dens: Density, det: DetectorSpec, centers: np.ndarray
+    p: float, visibility: float, det: DetectorSpec, grid: UniformGrid
 ) -> np.ndarray:
-    """detection_probability evaluated at many centers, deterministically."""
-    y = dens.grid.points
-    weighted = dens.grid.trapezoid_weights() * dens.values
-    centers = np.asarray(centers, dtype=float)
-    out = np.empty(centers.size)
-    for start in range(0, centers.size, _CURVE_CHUNK):
-        block = slice(start, min(start + _CURVE_CHUNK, centers.size))
-        kernels = det.kernel(y[np.newaxis, :] - centers[block, np.newaxis])
-        out[block] = kernels @ weighted
-    return out
+    """Detection probability with the detector centered at each grid point,
+    for the density (1 - V cos 2py) / L normalized over the grid's window of
+    length L (whole half-periods pi/p)."""
+    fringe = visibility * math.exp(-((p * det.w) ** 2))
+    return (1.0 - fringe * np.cos(2.0 * p * grid.points)) / (grid.hi - grid.lo)
 
 
-def detection_ratio(dens: Density, det: DetectorSpec) -> RatioResult:
-    """Ratio of the detection probability at the origin to that at the
-    density maximum (ties broken toward the smallest |y|)."""
-    values = dens.values
-    peak = float(values.max())
-    candidates = np.flatnonzero(values == peak)
-    interior = candidates[(candidates > 0) & (candidates < values.size - 1)]
-    if interior.size == 0:
-        raise ValueError("density has no interior maximum")
-    y = dens.grid.points
-    y_m = float(y[interior[np.argmin(np.abs(y[interior]))]])
-    prob_peak = detection_probability(dens, det, y_m)
-    if prob_peak == 0.0:
-        raise ValueError("detection probability vanishes at the maximum; "
-                         "the ratio is undefined")
-    prob_origin = detection_probability(dens, det, 0.0)
-    return RatioResult(prob_origin / prob_peak, y_m, prob_origin, prob_peak)
+def detection_ratio(p: float, visibility: float, det: DetectorSpec) -> float:
+    """Ratio (1 - V E) / (1 + V E) of the detection probability at the origin
+    (a fringe minimum) to that at the maximum y_m = -pi / (2p)."""
+    x = (p * det.w) ** 2
+    # 1 - V E written with expm1 so that no digit of a small ratio is lost
+    return ((1.0 - visibility) - visibility * math.expm1(-x)) / (
+        1.0 + visibility * math.exp(-x)
+    )
 
 
 def small_velocity_approx(
@@ -151,53 +114,53 @@ def small_velocity_approx(
 
 
 def ratio_report(
-    density_psi: Density,
-    density_phi: Density,
+    p: float,
+    visibility_psi: float,
+    visibility_phi: float,
     det: DetectorSpec,
     gamma_beta: float,
     v: float,
 ) -> RatioReport:
     """Assemble both exact ratios and the small-velocity approximants."""
-    res_psi = detection_ratio(density_psi, det)
-    res_phi = detection_ratio(density_phi, det)
+    r_psi = detection_ratio(p, visibility_psi, det)
+    r_phi = detection_ratio(p, visibility_phi, det)
     approx_r_phi, approx_ratio = small_velocity_approx(gamma_beta, v, det.w)
     return RatioReport(
-        r_psi=res_psi.ratio,
-        r_phi=res_phi.ratio,
-        ratio_of_ratios=res_psi.ratio / res_phi.ratio,
+        r_psi=r_psi,
+        r_phi=r_phi,
+        ratio_of_ratios=r_psi / r_phi,
         approx_r_phi=approx_r_phi,
         approx_ratio=approx_ratio,
-        y_m=res_psi.peak_location,
+        y_m=-0.5 * math.pi / p,
     )
 
 
 def signaling_discriminator(
-    density_psi: Density,
-    density_phi: Density,
+    p: float,
+    visibility_psi: float,
+    visibility_phi: float,
     det: DetectorSpec,
-    curves: tuple[np.ndarray, np.ndarray] | None = None,
+    grid: UniformGrid,
     ratios: tuple[float, float] | None = None,
 ) -> SignalingReport:
     """Gap between the two bases' detection statistics.
 
-    The sup statistic scans the detector center over the whole grid; a value
-    at rounding level certifies that the position statistics carry no record
-    of the remote basis choice for this pair of densities. Detection
-    ``curves`` over the grid and ratios (r_psi, r_phi) that the caller has
-    already computed are used as given instead of being computed again.
+    The sup statistic is the largest gap between the two detection curves
+    over every detector center, |V_psi - V_phi| E / L, reached at the fringe
+    minima; a value at rounding level certifies that the position statistics
+    carry no record of the remote basis choice. Ratios (r_psi, r_phi) that
+    the caller has already computed are used as given.
     """
-    if density_psi.grid != density_phi.grid:
-        raise ValueError("densities must share one grid")
-    pair = (density_psi, density_phi)
-    if curves is None:
-        curves = tuple(detection_curve(d, det, d.grid.points) for d in pair)
     if ratios is None:
-        ratios = tuple(detection_ratio(d, det).ratio for d in pair)
-    curve_psi, curve_phi = curves
+        ratios = (
+            detection_ratio(p, visibility_psi, det),
+            detection_ratio(p, visibility_phi, det),
+        )
     r_psi, r_phi = ratios
+    gap = abs(visibility_psi - visibility_phi) * math.exp(-((p * det.w) ** 2))
     return SignalingReport(
         r_psi=r_psi,
         r_phi=r_phi,
         ratio_gap=abs(r_psi - r_phi),
-        sup_gap=float(np.max(np.abs(curve_psi - curve_phi))),
+        sup_gap=gap / (grid.hi - grid.lo),
     )

@@ -28,6 +28,7 @@ __all__ = [
     "standing_wave_state",
     "center_interference_minimum",
     "common_momentum_magnitude",
+    "fringe_visibility",
 ]
 
 _NORM_TOL = 1e-9
@@ -280,6 +281,32 @@ def common_momentum_magnitude(state: MomentumSpinState, rel_tol: float = 1e-12) 
     return largest
 
 
+def _cross_term(first: StateComponent, second: StateComponent) -> complex:
+    """a_1 conj(a_2) <chi_2|chi_1>: the density of the two components is
+    |a_1|**2 + |a_2|**2 + 2 Re(cross exp(i q y)), q = p_1 - p_2."""
+    return (
+        complex(first.amplitude)
+        * np.conj(complex(second.amplitude))
+        * second.spin.overlap(first.spin)
+    )
+
+
+def fringe_visibility(state: MomentumSpinState) -> float:
+    """Fringe visibility V = 2|a_1 a_2 <chi_2|chi_1>| / (|a_1|**2 + |a_2|**2)
+    of a two-momentum superposition, 0 for a single component.
+
+    The position density is proportional to 1 + V cos(q y + theta), q the
+    momentum difference, so V = (max - min) / (max + min) of the pattern.
+    It is unchanged by translations and by any common spin rotation.
+    """
+    if len(state.components) == 1:
+        return 0.0
+    first, second = state.components
+    weight = abs(first.amplitude) ** 2 + abs(second.amplitude) ** 2
+    # V <= 1 exactly; rounding puts a fully visible pattern one ulp above it
+    return min(1.0, 2.0 * abs(_cross_term(first, second)) / weight)
+
+
 def center_interference_minimum(state: MomentumSpinState) -> MomentumSpinState:
     """Translate a two-momentum superposition so the minimum of its position
     density nearest the origin sits exactly at y = 0.
@@ -297,11 +324,7 @@ def center_interference_minimum(state: MomentumSpinState) -> MomentumSpinState:
     q = first.momentum.p - second.momentum.p
     if q == 0.0:
         return state
-    cross = (
-        complex(first.amplitude)
-        * np.conj(complex(second.amplitude))
-        * second.spin.overlap(first.spin)
-    )
+    cross = _cross_term(first, second)
     if abs(cross) <= _ZERO_AMPLITUDE * abs(first.amplitude * second.amplitude):
         return state
     theta = cmath.phase(cross)

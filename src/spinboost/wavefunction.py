@@ -74,7 +74,7 @@ class UniformGrid:
 
         The default 4096 intervals make the pattern's zeros, extrema and the
         origin exact grid points whenever ``n_points - 1`` is divisible by
-        ``4 * half_periods``, so normalization and extremum lookups are exact.
+        ``4 * half_periods``, so the trapezoid normalization is exact.
         """
         if not (math.isfinite(p) and p > 0.0):
             raise ValueError(f"momentum magnitude must be positive, got {p!r}")

@@ -74,3 +74,18 @@ def conditional_particle2(terms, eigvec):
         remainder[p2] = remainder[p2] + amplitude * np.vdot(eigvec, chi1) * chi2
     total = math.sqrt(sum(np.vdot(v, v).real for v in remainder.values()))
     return {p2: v / total for p2, v in remainder.items()}
+
+
+def trapezoid_detection(y, density, w: float, centers) -> np.ndarray:
+    """Brute-force detection probability: the trapezoid sum over the uniform
+    grid ``y`` of the normalized kernel exp(-(y - c)**2 / w**2) / (w sqrt(pi))
+    times the density samples, at each center c."""
+    y = np.asarray(y, dtype=float)
+    weights = np.full(y.size, y[1] - y[0])
+    weights[[0, -1]] *= 0.5
+    weighted = weights * np.asarray(density, dtype=float)
+    out = np.empty(len(centers))
+    for i, c in enumerate(centers):
+        kernel = np.exp(-(((y - c) / w) ** 2)) / (w * math.sqrt(math.pi))
+        out[i] = float(np.dot(kernel, weighted))
+    return out

@@ -14,6 +14,7 @@ from spinboost import (
     MeasurementSpec,
     MomentumSpinState,
     PreparationContext,
+    SPIN_PLUS_Z,
     Spinor,
     StateComponent,
     UniformGrid,
@@ -24,7 +25,9 @@ from spinboost import (
     collapse,
     density,
     detection_ratio,
+    fringe_visibility,
     signaling_discriminator,
+    standing_wave_state,
     synthesize_discrete,
     wigner_angle,
     wigner_half_angle_sine,
@@ -40,16 +43,18 @@ def _report(num, description, ok, detail=""):
     assert ok, f"criterion {num} failed: {description}{detail}"
 
 
-def _linear_density(momentum, boost, basis, outcome, grid):
+def _linear_state(momentum, boost, basis, outcome):
     _, state = collapse(build_entangled_pair(momentum.p), MeasurementSpec(basis, outcome))
-    state = center_interference_minimum(boost_linear(state, boost))
-    return density(synthesize_discrete(state, grid))
+    return boost_linear(state, boost)
 
 
-def _physical_density(momentum, boost, basis, prep, grid):
+def _physical_state(momentum, boost, basis, prep):
     _, state = collapse(build_entangled_pair(momentum.p), MeasurementSpec(basis, -1))
-    state = center_interference_minimum(boost_physical(state, boost, prep))
-    return density(synthesize_discrete(state, grid))
+    return boost_physical(state, boost, prep)
+
+
+def _density(state, grid):
+    return density(synthesize_discrete(center_interference_minimum(state), grid))
 
 
 def test_criterion_1_wigner_half_angle_reference_value():
@@ -66,10 +71,13 @@ def test_criterion_1_wigner_half_angle_reference_value():
 def _exact_ratio_of_ratios(gamma_beta, v, w):
     momentum = FourMomentum.from_speed(v)
     boost = BoostParameter.from_gamma(gamma_beta)
-    grid = UniformGrid.standing_wave(momentum.p)
     det = DetectorSpec(w)
-    r_psi = detection_ratio(_linear_density(momentum, boost, "z", -1, grid), det).ratio
-    r_phi = detection_ratio(_linear_density(momentum, boost, "x", -1, grid), det).ratio
+    r_psi, r_phi = (
+        detection_ratio(
+            momentum.p, fringe_visibility(_linear_state(momentum, boost, basis, -1)), det
+        )
+        for basis in ("z", "x")
+    )
     return r_psi / r_phi
 
 
@@ -89,13 +97,8 @@ def test_criterion_2_small_velocity_limit():
 
 def test_criterion_3_closed_form_detection_oracle():
     p = 1.0
-    grid = UniformGrid.standing_wave(p)
-    y = grid.points
-    values = np.sin(p * y) ** 2
-    values /= np.sum(grid.trapezoid_weights() * values)
-    from spinboost import Density
-
-    got = detection_ratio(Density(grid, values), DetectorSpec(1.0)).ratio
+    visibility = fringe_visibility(standing_wave_state(p, SPIN_PLUS_Z))
+    got = detection_ratio(p, visibility, DetectorSpec(1.0))
     want = (1.0 - math.exp(-1.0)) / (1.0 + math.exp(-1.0))
     _report(
         3,
@@ -149,10 +152,14 @@ def test_criterion_5_physical_mode_never_signals():
         PreparationContext.MINUS_Y,
         PreparationContext.CONFINED,
     ):
-        dens_z = _physical_density(momentum, boost, "z", prep, grid)
-        dens_x = _physical_density(momentum, boost, "x", prep, grid)
+        state_z = _physical_state(momentum, boost, "z", prep)
+        state_x = _physical_state(momentum, boost, "x", prep)
+        dens_z = _density(state_z, grid)
+        dens_x = _density(state_x, grid)
         worst_density = max(worst_density, float(np.max(np.abs(dens_z.values - dens_x.values))))
-        sig = signaling_discriminator(dens_z, dens_x, det)
+        sig = signaling_discriminator(
+            momentum.p, fringe_visibility(state_z), fringe_visibility(state_x), det, grid
+        )
         worst_curve = max(worst_curve, sig.sup_gap)
     _report(
         5,
@@ -176,10 +183,14 @@ def test_criterion_6_linear_mode_always_signals():
         for gamma_p in gamma_ps:
             momentum = FourMomentum.from_gamma(gamma_p)
             grid = UniformGrid.standing_wave(momentum.p, n_points=1025)
-            dens_psi = _linear_density(momentum, boost, "z", -1, grid)
-            dens_phi = _linear_density(momentum, boost, "x", -1, grid)
+            vis_psi, vis_phi = (
+                fringe_visibility(_linear_state(momentum, boost, basis, -1))
+                for basis in ("z", "x")
+            )
             for w in widths:
-                sig = signaling_discriminator(dens_psi, dens_phi, DetectorSpec(w))
+                sig = signaling_discriminator(
+                    momentum.p, vis_psi, vis_phi, DetectorSpec(w), grid
+                )
                 ok &= sig.sup_gap > 0.0 and sig.r_psi > sig.r_phi
                 smallest_gap = min(smallest_gap, sig.sup_gap)
     _report(
@@ -197,8 +208,8 @@ def test_criterion_7_outcome_independence():
     grid = UniformGrid.standing_wave(momentum.p)
     worst = 0.0
     for basis in ("z", "x"):
-        minus = _linear_density(momentum, boost, basis, -1, grid)
-        plus = _linear_density(momentum, boost, basis, +1, grid)
+        minus = _density(_linear_state(momentum, boost, basis, -1), grid)
+        plus = _density(_linear_state(momentum, boost, basis, +1), grid)
         worst = max(worst, float(np.max(np.abs(minus.values - plus.values))))
     _report(
         7,
@@ -261,8 +272,10 @@ def test_criterion_9_second_figure_properties(tmp_path):
     y, dens_x, dens_z = data.T
     report = json.loads((tmp_path / "boosted" / "figure2_report.json").read_text())
 
-    norm_x = float(np.trapezoid(dens_x, y))
-    norm_z = float(np.trapezoid(dens_z, y))
+    weights = np.full(y.size, y[1] - y[0])
+    weights[[0, -1]] *= 0.5
+    norm_x = float(np.sum(weights * dens_x))
+    norm_z = float(np.sum(weights * dens_z))
     norms_ok = abs(norm_x - 1.0) <= 1e-6 and abs(norm_z - 1.0) <= 1e-6
 
     sup = report["outputs"]["sup_norm_difference"]

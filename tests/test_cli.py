@@ -6,14 +6,39 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinboost import cli
+
+import oracles
 
 
 def _run(tmp_path, *args):
     out = tmp_path / "out"
     code = cli.main([*args, "--out", str(out)])
     return code, out
+
+
+def _expected_ratios(gamma_beta=10.0, gamma_p=1.2, w=1.0, mode="linear"):
+    """(r_psi, r_phi) from the standing-wave oracle: the z branch's density
+    is cos^2(phi/2) sin^2 + sin^2(phi/2) cos^2 under the linear map, and the
+    x branch's (and every physical branch's) is a pure sin^2."""
+    p = math.sqrt(gamma_p**2 - 1.0)
+    phi = oracles.full_angle_mp(gamma_p, gamma_beta)
+    a, b = (math.cos(phi / 2) ** 2, math.sin(phi / 2) ** 2)
+    if mode == "physical":
+        a, b = 1.0, 0.0
+    return (
+        oracles.standing_wave_ratio(a, b, p, w),
+        oracles.standing_wave_ratio(1.0, 0.0, p, w),
+    )
+
+
+def _assert_oracle_ratios(outputs, **where):
+    r_psi, r_phi = _expected_ratios(**where)
+    assert outputs["r_psi"] == pytest.approx(r_psi, rel=1e-6)
+    assert outputs["r_phi"] == pytest.approx(r_phi, rel=1e-6)
+    assert outputs["r_psi"] <= 1.0 and outputs["r_phi"] <= 1.0
 
 
 def _read_csv(path):
@@ -55,12 +80,54 @@ class TestConfigHandling:
             ["ratio", "--half-periods", "0"],
             ["figure2", "--packet-width", "0"],
             ["figure2", "--p-grid-points", "1"],
-            ["ratio", "--grid-points", "5"],
         ],
     )
     def test_invalid_grid_setting_is_a_config_error(self, tmp_path, argv):
         code, _ = _run(tmp_path, *argv)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure2", "--v", "5"],
+            ["figure2", "--gamma-p", "0.5"],
+            ["angle", "--grid-points", "1"],
+            ["angle", "--packet-width", "nan"],
+        ],
+    )
+    def test_option_out_of_range_is_a_config_error_where_unused(self, tmp_path, argv):
+        code, _ = _run(tmp_path, *argv)
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"scenario": "ratio", "grid_points": "9"},
+            {"scenario": "figure2", "packet_width": "2"},
+            {"scenario": "ratio", "outcome": True},
+            ["ratio"],
+        ],
+    )
+    def test_config_file_of_the_wrong_type_is_a_config_error(self, tmp_path, payload):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path):
+        broken = tmp_path / "broken.json"
+        broken.write_text("{not json")
+        for path in (broken, tmp_path / "missing.json"):
+            assert cli.main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("scenario", cli.SCENARIOS)
+    def test_replay_of_a_default_report_rewrites_identical_files(self, tmp_path, scenario):
+        small = ["--grid-points", "512", "--p-grid-points", "512"]
+        code, out = _run(tmp_path, scenario, *(small if scenario == "figure2" else []))
+        assert code == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        report = out / f"{scenario}_report.json"
+        assert cli.main(["--config", str(report)]) == 0
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_basis_option_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -112,6 +179,13 @@ class TestAngleScenario:
 
 
 class TestFigure1:
+    def test_scalars_do_not_depend_on_the_grid(self, tmp_path):
+        code, out = _run(tmp_path, "figure1", "--grid-points", "5")
+        assert code == 0
+        outputs = json.loads((out / "figure1_report.json").read_text())["outputs"]
+        assert outputs["visibility_psi"] == pytest.approx(56.0 / 65.0, abs=1e-12)
+        assert outputs["min_to_max_psi"] == pytest.approx(9.0 / 121.0, abs=1e-12)
+
     def test_default_curves(self, tmp_path):
         code, out = _run(tmp_path, "figure1")
         assert code == 0
@@ -220,6 +294,51 @@ class TestRatioScenario:
             outputs["r_psi"] / outputs["r_phi"], rel=1e-12
         )
 
+    def test_coarse_grid_is_exact(self, tmp_path):
+        code, out = _run(tmp_path, "ratio", "--grid-points", "5")
+        assert code == 0
+        _assert_oracle_ratios(json.loads((out / "ratio_report.json").read_text())["outputs"])
+
+    # cases a detector sampled on the default grid gets wrong: an
+    # under-sampled kernel (grid step 6.1 against w = 1) and kernels
+    # truncated by the window
+    @pytest.mark.parametrize(
+        "argv,where",
+        [
+            (
+                ["--gamma-beta", "1000", "--v", "0.001"],
+                {"gamma_beta": 1000.0, "gamma_p": oracles.gamma_mp(0.001)},
+            ),
+            (["--gamma-p", "10"], {"gamma_p": 10.0}),
+            (["--w", "30"], {"w": 30.0}),
+        ],
+    )
+    def test_kernel_unresolved_by_the_grid_is_exact(self, tmp_path, argv, where):
+        code, out = _run(tmp_path, "ratio", *argv)
+        assert code == 0
+        outputs = json.loads((out / "ratio_report.json").read_text())["outputs"]
+        _assert_oracle_ratios(outputs, **where)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        v=st.floats(1e-3, 0.99),
+        gamma_beta=st.floats(1.01, 1001.0),
+        w=st.floats(1.0, 30.0),
+        mode=st.sampled_from(["linear", "physical"]),
+        prep=st.sampled_from(["plus_y", "minus_y", "confined"]),
+    )
+    def test_whole_domain_matches_the_oracle(
+        self, tmp_path_factory, v, gamma_beta, w, mode, prep
+    ):
+        out = tmp_path_factory.mktemp("sweep")
+        argv = ["ratio", "--v", repr(v), "--gamma-beta", repr(gamma_beta)]
+        argv += ["--w", repr(w), "--mode", mode, "--prep", prep, "--out", str(out)]
+        assert cli.main(argv) == 0
+        outputs = json.loads((out / "ratio_report.json").read_text())["outputs"]
+        _assert_oracle_ratios(
+            outputs, gamma_beta=gamma_beta, gamma_p=oracles.gamma_mp(v), w=w, mode=mode
+        )
+
 
 class TestSignalingScenario:
     def test_linear_mode_signals(self, tmp_path):
@@ -270,7 +389,7 @@ class TestParadoxScenario:
 class TestComputeOnce:
     @pytest.mark.parametrize(
         "scenario,curves,ratios",
-        [("signaling", 2, 2), ("paradox", 2, 2), ("ratio", 0, 2)],
+        [("signaling", 2, 2), ("paradox", 0, 2), ("ratio", 0, 2)],
     )
     def test_each_statistic_is_computed_once(
         self, tmp_path, monkeypatch, scenario, curves, ratios

@@ -5,19 +5,23 @@ import pytest
 
 from spinboost import (
     BoostParameter,
-    Density,
     DetectorSpec,
     FourMomentum,
+    MeasurementSpec,
+    PreparationContext,
     UniformGrid,
     boost_linear,
+    boost_physical,
+    build_entangled_pair,
+    center_interference_minimum,
+    collapse,
     density,
     detection_curve,
-    detection_probability,
     detection_ratio,
+    fringe_visibility,
     ratio_report,
     signaling_discriminator,
     small_velocity_approx,
-    standing_wave_state,
     synthesize_discrete,
     wigner_angle,
 )
@@ -25,18 +29,9 @@ from spinboost import (
 import oracles
 
 
-def _standing_density(p, a=1.0, b=0.0, half_periods=8, n_points=4097):
-    """Normalized density a*sin(p y)**2 + b*cos(p y)**2 on a clean window."""
-    grid = UniformGrid.standing_wave(p, half_periods, n_points)
-    y = grid.points
-    values = a * np.sin(p * y) ** 2 + b * np.cos(p * y) ** 2
-    values /= np.sum(grid.trapezoid_weights() * values)
-    return Density(grid, values)
-
-
-def _uniform_density(grid):
-    values = np.full(grid.n_points, 1.0 / (grid.hi - grid.lo))
-    return Density(grid, values)
+def _visibility(a, b):
+    """Fringe visibility of a density a*sin(p y)**2 + b*cos(p y)**2."""
+    return (a - b) / (a + b)
 
 
 class TestDetectorSpec:
@@ -55,74 +50,80 @@ class TestDetectorSpec:
             warnings.simplefilter("error")
             DetectorSpec(1.5)
 
-    def test_kernel_has_unit_mass_on_wide_grids(self):
-        det = DetectorSpec(2.0)
-        grid = UniformGrid(-12.0, 12.0, 4001)  # spans 6 widths
-        mass = float(np.sum(grid.trapezoid_weights() * det.kernel(grid.points)))
-        assert mass == pytest.approx(1.0, abs=1e-10)
 
-
-class TestDetectionProbability:
+class TestDetectionCurve:
     def test_flat_density_is_position_independent(self):
         grid = UniformGrid(-60.0, 60.0, 6001)
-        dens = _uniform_density(grid)
-        det = DetectorSpec(2.0)
-        probs = [detection_probability(dens, det, y_c) for y_c in (-10.0, 0.0, 7.5)]
-        assert max(probs) - min(probs) == pytest.approx(0.0, abs=1e-12)
+        probs = detection_curve(0.7, 0.0, DetectorSpec(2.0), grid)
+        assert probs.max() - probs.min() == pytest.approx(0.0, abs=1e-12)
         assert probs[0] == pytest.approx(1.0 / 120.0, rel=1e-9)
 
     def test_sine_profile_at_origin_matches_closed_form(self):
-        p = 1.0
-        dens = _standing_density(p)
-        det = DetectorSpec(1.0)
+        grid = UniformGrid.standing_wave(1.0)
+        probs = detection_curve(1.0, 1.0, DetectorSpec(1.0), grid)
         # window-normalized density: sin^2 / (window/2)
-        window = dens.grid.hi - dens.grid.lo
+        window = grid.hi - grid.lo
         expected = (1.0 - math.exp(-1.0)) / 2.0 * (2.0 / window)
-        assert detection_probability(dens, det, 0.0) == pytest.approx(
-            expected, rel=1e-6
-        )
+        assert probs[grid.n_points // 2] == pytest.approx(expected, rel=1e-6)
 
     def test_sine_profile_at_quarter_period(self):
-        p = 1.0
-        dens = _standing_density(p)
-        det = DetectorSpec(1.0)
-        window = dens.grid.hi - dens.grid.lo
+        grid = UniformGrid.standing_wave(1.0)
+        probs = detection_curve(1.0, 1.0, DetectorSpec(1.0), grid)
+        index = int(np.argmin(np.abs(grid.points - math.pi / 2.0)))
+        assert grid.points[index] == pytest.approx(math.pi / 2.0, abs=1e-12)
+        window = grid.hi - grid.lo
         expected = (1.0 + math.exp(-1.0)) / 2.0 * (2.0 / window)
-        assert detection_probability(dens, det, math.pi / 2.0) == pytest.approx(
-            expected, rel=1e-6
+        assert probs[index] == pytest.approx(expected, rel=1e-6)
+
+    # the brute-force sum needs the kernel resolved (w / dy >= 20 here) and
+    # held by the window: centers keep 6 widths from the edges, beyond which
+    # the kernel mass is erfc(6) / 2 = 1e-17
+    @pytest.mark.parametrize("gamma_p", [1.05, 1.2, 2.0])
+    @pytest.mark.parametrize("w", [1.0, 2.5])
+    @pytest.mark.parametrize("branch", ["z", "x", "physical"])
+    def test_matches_brute_force_quadrature(self, gamma_p, w, branch):
+        momentum = FourMomentum.from_gamma(gamma_p)
+        boost = BoostParameter.from_gamma(10.0)
+        basis = "x" if branch == "x" else "z"
+        _, state = collapse(build_entangled_pair(momentum.p), MeasurementSpec(basis, -1))
+        if branch == "physical":
+            state = boost_physical(state, boost, PreparationContext.MINUS_Y)
+        else:
+            state = boost_linear(state, boost)
+        grid = UniformGrid.standing_wave(momentum.p, half_periods=32, n_points=8193)
+        assert w / grid.spacing >= 20.0
+        dens = density(synthesize_discrete(center_interference_minimum(state), grid))
+        det = DetectorSpec(w)
+        curve = detection_curve(momentum.p, fringe_visibility(state), det, grid)
+        interior = np.flatnonzero(np.abs(grid.points) <= grid.hi - 6.0 * w)[::16]
+        brute = oracles.trapezoid_detection(
+            grid.points, dens.values, w, grid.points[interior]
         )
-
-    def test_far_center_warns_about_truncation(self):
-        dens = _standing_density(1.0)
-        det = DetectorSpec(1.0)
-        with pytest.warns(UserWarning, match="truncated"):
-            detection_probability(dens, det, dens.grid.hi + 4.0)
-
-    def test_curve_matches_pointwise_evaluation(self):
-        dens = _standing_density(1.3, a=0.8, b=0.2)
-        det = DetectorSpec(1.2)
-        centers = np.linspace(-2.0, 2.0, 17)
-        curve = detection_curve(dens, det, centers)
-        singles = [detection_probability(dens, det, c) for c in centers]
-        np.testing.assert_allclose(curve, singles, atol=1e-15)
+        # tolerance: the rounding of an 8193-term sum, about n * eps of the peak
+        np.testing.assert_allclose(curve[interior], brute, rtol=0, atol=1e-12 * curve.max())
 
 
 class TestDetectionRatio:
     def test_pure_sine_matches_the_gaussian_integral_oracle(self):
-        dens = _standing_density(1.0)
-        result = detection_ratio(dens, DetectorSpec(1.0))
+        ratio = detection_ratio(1.0, 1.0, DetectorSpec(1.0))
         expected = (1.0 - math.exp(-1.0)) / (1.0 + math.exp(-1.0))
-        assert result.ratio == pytest.approx(expected, abs=1e-6)
-        assert result.ratio == pytest.approx(
+        assert ratio == pytest.approx(expected, abs=1e-6)
+        assert ratio == pytest.approx(
             oracles.standing_wave_ratio(1.0, 0.0, 1.0, 1.0), abs=1e-6
         )
 
     def test_peak_sits_at_the_quarter_period(self):
         p = 0.75
-        dens = _standing_density(p)
-        result = detection_ratio(dens, DetectorSpec(1.0))
-        assert abs(result.peak_location) == pytest.approx(
-            math.pi / (2.0 * p), abs=dens.grid.spacing
+        det = DetectorSpec(1.0)
+        grid = UniformGrid.standing_wave(p)
+        curve = detection_curve(p, 1.0, det, grid)
+        y_m = ratio_report(p, 1.0, 1.0, det, 10.0, 0.1).y_m
+        assert abs(y_m) == pytest.approx(math.pi / (2.0 * p), abs=grid.spacing)
+        index = int(np.argmin(np.abs(grid.points - y_m)))
+        assert curve[index] == pytest.approx(curve.max(), rel=1e-12)
+        origin = curve[grid.n_points // 2]
+        assert detection_ratio(p, 1.0, det) == pytest.approx(
+            origin / curve[index], rel=1e-12
         )
 
     # a >= b: the profile peaks at the quarter period, as in every branch the
@@ -130,16 +131,15 @@ class TestDetectionRatio:
     @pytest.mark.parametrize("a,b", [(1.0, 0.0), (0.93, 0.07), (0.6, 0.4), (0.5, 0.5)])
     @pytest.mark.parametrize("p,w", [(1.0, 1.0), (0.66, 1.5), (2.0, 1.0)])
     def test_oracle_equivalence_on_mixed_profiles(self, a, b, p, w):
-        dens = _standing_density(p, a, b)
-        result = detection_ratio(dens, DetectorSpec(w))
-        assert result.ratio == pytest.approx(
+        ratio = detection_ratio(p, _visibility(a, b), DetectorSpec(w))
+        assert ratio == pytest.approx(
             oracles.standing_wave_ratio(a, b, p, w), abs=1e-6
         )
 
     def test_mixed_profile_exceeds_pure_profile(self):
-        pure = detection_ratio(_standing_density(1.0), DetectorSpec(1.0))
-        mixed = detection_ratio(_standing_density(1.0, 0.93, 0.07), DetectorSpec(1.0))
-        assert mixed.ratio > pure.ratio
+        pure = detection_ratio(1.0, 1.0, DetectorSpec(1.0))
+        mixed = detection_ratio(1.0, _visibility(0.93, 0.07), DetectorSpec(1.0))
+        assert mixed > pure
 
     def test_ratio_of_ratios_grows_with_the_rotation_angle(self):
         # oracle-level monotonicity of the mixing effect
@@ -153,17 +153,6 @@ class TestDetectionRatio:
             current = mixed / pure
             assert current > previous
             previous = current
-
-    def test_all_zero_density_has_no_interior_peak(self):
-        grid = UniformGrid(-1.0, 1.0, 101)
-        with pytest.raises(ValueError):
-            detection_ratio(Density(grid, np.zeros(101)), DetectorSpec(1.0))
-
-    def test_edge_peak_is_rejected(self):
-        grid = UniformGrid(-1.0, 1.0, 101)
-        values = np.linspace(0.0, 1.0, 101)
-        with pytest.raises(ValueError, match="interior"):
-            detection_ratio(Density(grid, values), DetectorSpec(1.0))
 
 
 class TestSmallVelocityApprox:
@@ -201,35 +190,35 @@ class TestSmallVelocityApprox:
 
 
 class TestSignalingDiscriminator:
-    def _boosted_density(self, spin, grid):
-        state = boost_linear(standing_wave_state(1.0, spin), BoostParameter(0.9))
-        return density(synthesize_discrete(state, grid))
+    GRID = UniformGrid.standing_wave(1.0)
 
-    def test_identical_densities_give_zero(self):
-        dens = _standing_density(1.0)
-        report = signaling_discriminator(dens, dens, DetectorSpec(1.0))
+    def test_identical_visibilities_give_zero(self):
+        report = signaling_discriminator(1.0, 1.0, 1.0, DetectorSpec(1.0), self.GRID)
         assert report.sup_gap == 0.0
         assert report.ratio_gap == 0.0
 
-    def test_mismatched_grids_are_rejected(self):
-        a = _standing_density(1.0, n_points=4097)
-        b = _standing_density(1.0, n_points=2049)
-        with pytest.raises(ValueError, match="grid"):
-            signaling_discriminator(a, b, DetectorSpec(1.0))
-
     def test_mixed_vs_pure_profile_is_detectable(self):
-        dens_psi = _standing_density(1.0, 0.93, 0.07)
-        dens_phi = _standing_density(1.0)
-        report = signaling_discriminator(dens_psi, dens_phi, DetectorSpec(1.0))
+        report = signaling_discriminator(
+            1.0, _visibility(0.93, 0.07), 1.0, DetectorSpec(1.0), self.GRID
+        )
         assert report.sup_gap > 1e-5
         assert report.r_psi > report.r_phi
+
+    def test_sup_gap_is_the_largest_curve_gap(self):
+        det = DetectorSpec(1.2)
+        vis_psi = _visibility(0.93, 0.07)
+        report = signaling_discriminator(1.0, vis_psi, 1.0, det, self.GRID)
+        gap = detection_curve(1.0, vis_psi, det, self.GRID) - detection_curve(
+            1.0, 1.0, det, self.GRID
+        )
+        assert report.sup_gap == pytest.approx(float(np.max(np.abs(gap))), rel=1e-12)
 
 
 class TestRatioReport:
     def test_field_assembly(self):
-        dens_psi = _standing_density(1.0, 0.93, 0.07)
-        dens_phi = _standing_density(1.0)
-        report = ratio_report(dens_psi, dens_phi, DetectorSpec(1.0), 10.0, 0.1)
+        report = ratio_report(
+            1.0, _visibility(0.93, 0.07), 1.0, DetectorSpec(1.0), 10.0, 0.1
+        )
         assert report.ratio_of_ratios == pytest.approx(
             report.r_psi / report.r_phi, rel=1e-15
         )

@@ -20,6 +20,7 @@ from spinboost import (
     center_interference_minimum,
     collapse,
     common_momentum_magnitude,
+    fringe_visibility,
     standing_wave_state,
 )
 
@@ -273,3 +274,63 @@ class TestCenterInterferenceMinimum:
             )
         )
         assert center_interference_minimum(state) is state
+
+
+class TestFringeVisibility:
+    def test_common_spin_is_fully_visible(self):
+        assert fringe_visibility(standing_wave_state(P_REF, SPIN_PLUS_X)) == 1.0
+
+    def test_single_component_has_no_fringes(self):
+        single = MomentumSpinState(
+            (StateComponent(FourMomentum(1.0), SPIN_PLUS_Z, 1.0),)
+        )
+        assert fringe_visibility(single) == 0.0
+
+    def test_orthogonal_spinors_have_no_fringes(self):
+        state = MomentumSpinState(
+            (
+                StateComponent(FourMomentum(1.0), SPIN_PLUS_Z, INV_SQRT2),
+                StateComponent(FourMomentum(-1.0), SPIN_MINUS_Z, INV_SQRT2),
+            )
+        )
+        assert fringe_visibility(state) == 0.0
+
+    def test_unequal_weights_and_tilted_spin(self):
+        # V = 2 |a_1 a_2| |<chi_2|chi_1>| / (|a_1|^2 + |a_2|^2)
+        tilt = 0.4
+        tilted = Spinor(math.cos(tilt), math.sin(tilt))
+        state = MomentumSpinState(
+            (
+                StateComponent(FourMomentum(1.0), SPIN_PLUS_Z, 0.6),
+                StateComponent(FourMomentum(-1.0), tilted, 0.8j),
+            )
+        )
+        assert fringe_visibility(state) == pytest.approx(
+            2.0 * 0.6 * 0.8 * math.cos(tilt), abs=1e-15
+        )
+
+    def test_translation_leaves_it_unchanged(self):
+        _, state = collapse(build_entangled_pair(P_REF), MeasurementSpec("z", -1))
+        tilted = MomentumSpinState(
+            tuple(
+                StateComponent(c.momentum, Spinor(math.cos(0.3), math.sin(0.3)), c.amplitude)
+                if c.momentum.p > 0
+                else c
+                for c in state.components
+            )
+        )
+        before = fringe_visibility(tilted)
+        assert fringe_visibility(tilted.translated(0.37)) == pytest.approx(before, abs=1e-15)
+        assert fringe_visibility(center_interference_minimum(tilted)) == pytest.approx(
+            before, abs=1e-15
+        )
+
+    def test_three_components_are_rejected(self):
+        state = MomentumSpinState(
+            tuple(
+                StateComponent(FourMomentum(p), SPIN_PLUS_Z, 1.0 / math.sqrt(3.0))
+                for p in (-1.0, 0.5, 1.0)
+            )
+        )
+        with pytest.raises(ValueError):
+            fringe_visibility(state)
