@@ -62,6 +62,10 @@ _UNITS_NOTE = (
 
 _NORMALIZATION_TOL = 1e-6
 _NO_SIGNALING_TOL = 1e-12
+#: Smallest detection ratio printed. Below it, the rounding of 1 - V held
+#: in a float V can cost the ratio its 1e-6 relative accuracy, so the run
+#: exits 3 instead.
+_RATIO_FLOOR = 1e-9
 
 
 class ConfigError(Exception):
@@ -119,6 +123,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"packet_width must be positive and finite, got {self.packet_width!r}"
             )
+        if not (math.isfinite(self.w) and self.w >= 1.0):
+            raise ConfigError(
+                f"w must be finite and >= 1 Compton wavelength, got {self.w!r}"
+            )
 
 
 @contextmanager
@@ -163,9 +171,12 @@ def _resolve_mode(cfg: ScenarioConfig) -> BoostMode:
     return BoostMode("physical", PreparationContext(cfg.prep))
 
 
-def _resolve_detector(cfg: ScenarioConfig) -> DetectorSpec:
-    with _config_errors():
-        return DetectorSpec(cfg.w)
+def _check_ratio_floor(r_psi: float, r_phi: float) -> None:
+    if not (r_psi >= _RATIO_FLOOR and r_phi >= _RATIO_FLOOR):
+        raise ContractError(
+            f"detection ratios ({r_psi!r}, {r_phi!r}) fall below {_RATIO_FLOOR}, "
+            "where they lose their relative accuracy"
+        )
 
 
 def _normalized_density(wavefunction: PositionWavefunction) -> Density:
@@ -294,8 +305,10 @@ def _ratio(
     cfg: ScenarioConfig, boost: BoostParameter, momentum: FourMomentum
 ) -> _Outputs:
     vis = [fringe_visibility(s) for s in _branch_states(cfg, boost, momentum)]
-    det = _resolve_detector(cfg)
-    return asdict(ratio_report(momentum.p, *vis, det, boost.gamma, momentum.speed)), None
+    det = DetectorSpec(cfg.w)
+    ratios = ratio_report(momentum.p, *vis, det, boost.gamma, momentum.speed)
+    _check_ratio_floor(ratios.r_psi, ratios.r_phi)
+    return asdict(ratios), None
 
 
 def _signaling(
@@ -303,8 +316,9 @@ def _signaling(
 ) -> _Outputs:
     grid = _standing_grid(cfg, momentum)
     vis = [fringe_visibility(s) for s in _branch_states(cfg, boost, momentum)]
-    det = _resolve_detector(cfg)
+    det = DetectorSpec(cfg.w)
     sig = signaling_discriminator(momentum.p, *vis, det, grid)
+    _check_ratio_floor(sig.r_psi, sig.r_phi)
     return asdict(sig), {
         "y_over_compton": grid.points,
         "detect_prob_psi": detection_curve(momentum.p, vis[0], det, grid),
@@ -317,8 +331,9 @@ def _paradox(
 ) -> _Outputs:
     grid = _standing_grid(cfg, momentum)
     vis = [fringe_visibility(s) for s in _branch_states(cfg, boost, momentum)]
-    det = _resolve_detector(cfg)
+    det = DetectorSpec(cfg.w)
     ratios = ratio_report(momentum.p, *vis, det, boost.gamma, momentum.speed)
+    _check_ratio_floor(ratios.r_psi, ratios.r_phi)
     sig = signaling_discriminator(
         momentum.p, *vis, det, grid, ratios=(ratios.r_psi, ratios.r_phi)
     )

@@ -3,8 +3,11 @@
 Discrete two-momentum superpositions are synthesized in closed form on a
 uniform y grid; Gaussian momentum wavepackets go through trapezoid
 quadrature over a momentum grid, with the per-momentum spin rotation applied
-inside the integral. Both paths return a pair of complex spin-component
-sample arrays normalized so the total density integrates to one.
+inside the integral. That quadrature, sum_k g_k exp(i y_j p_k) over uniform
+y and p, is a chirp-z transform and is evaluated with FFTs by Bluestein's
+algorithm in O((n + m) log(n + m)) rather than as an n x m sum. Both paths
+return a pair of complex spin-component sample arrays normalized so the
+total density integrates to one.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ __all__ = [
 #: Momentum-amplitude ratio at the quadrature range edge above which the
 #: range is flagged as too narrow.
 EDGE_AMPLITUDE_LIMIT = 1e-8
-
-_SYNTH_CHUNK = 512
-
 
 @dataclass(frozen=True)
 class UniformGrid:
@@ -183,19 +183,41 @@ def synthesize_discrete(
     return PositionWavefunction(grid, up, down, {"momentum_magnitude": magnitude})
 
 
+def _chirp(tau: float, count: int) -> np.ndarray:
+    """exp(2 pi i tau l**2) for l = 0 .. count - 1, with the phase reduced in
+    whole turns: tau is split into a head short enough that head * l**2 and
+    its fractional part are exact, and a tail whose product is small."""
+    l_sq = np.arange(count, dtype=float) ** 2  # exact while count <= 2**26
+    exponent = math.frexp(tau)[1]
+    quantum = math.ldexp(1.0, exponent - 53 + int(l_sq[-1]).bit_length())
+    head = math.floor(tau / quantum) * quantum
+    turns = head * l_sq
+    turns -= np.floor(turns)
+    turns += (tau - head) * l_sq
+    return np.exp(2j * math.pi * turns)
+
+
 def _fourier_synthesis(
-    y: np.ndarray, p: np.ndarray, g_up: np.ndarray, g_down: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # Fixed-size chunks keep the phase matrix small and the summation order
-    # deterministic regardless of thread count.
-    up = np.zeros(y.size, dtype=complex)
-    down = np.zeros(y.size, dtype=complex)
-    for start in range(0, p.size, _SYNTH_CHUNK):
-        block = slice(start, start + _SYNTH_CHUNK)
-        phases = np.exp(1j * np.outer(y, p[block]))
-        up += phases @ g_up[block]
-        down += phases @ g_down[block]
-    return up, down
+    y: UniformGrid, p: UniformGrid, g: np.ndarray
+) -> np.ndarray:
+    """Sum over k of g[..., k] exp(i y_j p_k) at every y_j, each row of g
+    separately, by Bluestein's chirp-z algorithm.
+
+    With y_j = y_0 + j dy and p_k = p_0 + k dp,
+    y_j p_k = y_j p_0 + y_0 (p_k - p_0) + dy dp jk, and
+    jk = (j**2 + k**2 - (j - k)**2) / 2 makes the last factor a chirp times
+    a convolution with the conjugate chirp, done by FFTs of a power-of-two
+    length at least n + m - 1.
+    """
+    n, m = y.n_points, p.n_points
+    size = 1 << (n + m - 2).bit_length()
+    chirp = _chirp(y.spacing * p.spacing / (4.0 * math.pi), max(n, m))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:n] = chirp[:n].conj()
+    kernel[size - m + 1 :] = chirp[m - 1 : 0 : -1].conj()
+    u = g * (np.exp(1j * y.lo * (p.points - p.lo)) * chirp[:m])
+    conv = np.fft.ifft(np.fft.fft(u, size) * np.fft.fft(kernel))[..., :n]
+    return conv * (np.exp(1j * p.lo * y.points) * chirp[:n])
 
 
 def synthesize_gaussian(
@@ -264,7 +286,7 @@ def synthesize_gaussian(
     g_up = envelope * (cos_half * chi_up + 1j * sin_half * chi_down)
     g_down = envelope * (cos_half * chi_down + 1j * sin_half * chi_up)
 
-    up, down = _fourier_synthesis(grid.points, p, g_up, g_down)
+    up, down = _fourier_synthesis(grid, p_grid, np.stack([g_up, g_down]))
     up, down, raw_norm = _normalized(grid, up, down)
 
     momentum_norm = 2.0 * math.pi * float(

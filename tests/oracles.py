@@ -89,3 +89,16 @@ def trapezoid_detection(y, density, w: float, centers) -> np.ndarray:
         kernel = np.exp(-(((y - c) / w) ** 2)) / (w * math.sqrt(math.pi))
         out[i] = float(np.dot(kernel, weighted))
     return out
+
+
+def fourier_sum(y, p, g, block: int = 256) -> np.ndarray:
+    """Brute-force sum over k of g[..., k] exp(i y_j p_k) at every y_j, each
+    row of ``g`` separately, over blocks of ``block`` positions."""
+    y = np.asarray(y, dtype=float)
+    p = np.asarray(p, dtype=float)
+    g = np.asarray(g, dtype=complex)
+    out = np.empty(g.shape[:-1] + (y.size,), dtype=complex)
+    for start in range(0, y.size, block):
+        rows = slice(start, start + block)
+        out[..., rows] = g @ np.exp(1j * np.outer(p, y[rows]))
+    return out

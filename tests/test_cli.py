@@ -93,6 +93,10 @@ class TestConfigHandling:
             ["figure2", "--gamma-p", "0.5"],
             ["angle", "--grid-points", "1"],
             ["angle", "--packet-width", "nan"],
+            ["angle", "--w", "0.5"],
+            ["figure1", "--w", "0.5"],
+            ["figure2", "--w", "0.5"],
+            ["figure2", "--w", "inf"],
         ],
     )
     def test_option_out_of_range_is_a_config_error_where_unused(self, tmp_path, argv):
@@ -431,6 +435,31 @@ class TestContractGate:
             ["paradox", "--mode", "physical", "--out", str(tmp_path / "out")]
         )
         assert code == 3
+
+    # ratios below the float floor of 1 - V, whose printed digits would be wrong
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ratio", "--p", "1e-200", "--mode", "physical"],
+            ["ratio", "--p", "1e-9", "--mode", "physical"],
+            ["ratio", "--v", "1e-5"],
+            ["ratio", "--v", "1e-7"],
+            ["ratio", "--v", "1e-8"],
+            ["signaling", "--v", "1e-7"],
+            ["paradox", "--v", "1e-7", "--mode", "physical"],
+        ],
+    )
+    def test_ratio_below_the_float_floor_exits_3(self, tmp_path, argv):
+        code, out = _run(tmp_path, *argv)
+        assert code == 3
+        assert not (out / f"{argv[0]}_report.json").exists()
+
+    def test_smallest_ratio_of_the_swept_domain_is_printed(self, tmp_path):
+        # v = 1e-3 and w = 1 is the corner of the hypothesis sweep below
+        code, out = _run(tmp_path, "ratio", "--v", "0.001", "--gamma-beta", "1.01")
+        assert code == 0
+        outputs = json.loads((out / "ratio_report.json").read_text())["outputs"]
+        _assert_oracle_ratios(outputs, gamma_beta=1.01, gamma_p=oracles.gamma_mp(0.001))
 
 
 class TestEntryPoint:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from spinboost import (
     BoostParameter,
     FourMomentum,
@@ -26,6 +27,7 @@ from spinboost import (
     synthesize_gaussian,
     wigner_angle,
 )
+from spinboost.wavefunction import _fourier_synthesis
 
 P_REF = FourMomentum.from_gamma(1.2).p
 BOOST = BoostParameter.from_gamma(10.0)
@@ -253,6 +255,63 @@ class TestSynthesizeGaussian:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             GaussianPacketSpec(0.0, SPIN_PLUS_Z)
+
+
+class TestFourierSynthesis:
+    """The chirp-z sum against the brute-force sum of ``oracles``."""
+
+    @staticmethod
+    def _assert_matches(y_grid, p_grid):
+        rng = np.random.default_rng(y_grid.n_points * p_grid.n_points)
+        shape = (2, p_grid.n_points)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _fourier_synthesis(y_grid, p_grid, g)
+        want = oracles.fourier_sum(y_grid.points, p_grid.points, g)
+        for row_got, row_want in zip(got, want):
+            peak = np.max(np.abs(row_want))
+            assert np.max(np.abs(row_got - row_want)) <= 1e-12 * peak
+
+    # lopsided shapes drive the chirp phase to ~1e7 rad
+    @pytest.mark.parametrize(
+        "n_y,n_p",
+        [(2, 4096), (4096, 2), (4097, 33), (33, 4097), (4096, 4096), (2, 65536), (65536, 64)],
+    )
+    def test_matches_the_brute_force_sum(self, n_y, n_p):
+        self._assert_matches(
+            UniformGrid(-8.0, 8.0, n_y), UniformGrid.for_packet(1.0, n_points=n_p)
+        )
+
+    def test_offset_windows_match_the_brute_force_sum(self):
+        self._assert_matches(UniformGrid(-3.0, 40.0, 1000), UniformGrid(0.5, 7.0, 777))
+
+    @pytest.mark.parametrize("k_factor", list(KFactor))
+    def test_boosted_packet_matches_the_brute_force_sum(self, k_factor):
+        beta = 0.995
+        wavefunction = synthesize_gaussian(
+            GaussianPacketSpec(1.0, SPIN_PLUS_Z, k_factor), BoostParameter(beta)
+        )
+        # the quadrature formula from its parts: trapezoid weights, K factor,
+        # Gaussian amplitude and the signed half-angle of each momentum,
+        # applied to the spin-up spinor
+        y = np.linspace(-8.0, 8.0, 4096)
+        p = np.linspace(-8.0, 8.0, 4096)
+        weights = np.full(p.size, p[1] - p[0])
+        weights[[0, -1]] *= 0.5
+        k = (1.0 + p**2) ** -0.25 if k_factor is KFactor.SQRT_M_OVER_P0 else 1.0
+        envelope = weights * k * np.exp(-0.5 * p**2)
+        gamma_p, gamma_beta = np.sqrt(1.0 + p**2), 1.0 / math.sqrt(1.0 - beta**2)
+        sin_half = np.sign(p) * np.sqrt(
+            (gamma_p - 1.0) * (gamma_beta - 1.0) / (2.0 * (1.0 + gamma_p * gamma_beta))
+        )
+        cos_half = np.sqrt(1.0 - sin_half**2)
+        up, down = oracles.fourier_sum(
+            y, p, np.stack([envelope * cos_half, 1j * envelope * sin_half])
+        )
+        raw = np.abs(up) ** 2 + np.abs(down) ** 2
+        scale = 1.0 / math.sqrt((y[1] - y[0]) * (np.sum(raw) - 0.5 * (raw[0] + raw[-1])))
+        peak = np.max(np.abs(up)) * scale
+        assert np.max(np.abs(wavefunction.up - up * scale)) <= 1e-12 * peak
+        assert np.max(np.abs(wavefunction.down - down * scale)) <= 1e-12 * peak
 
 
 class TestDensityOp:
